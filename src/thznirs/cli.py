@@ -27,6 +27,7 @@ from .coverage import (
     write_coverage_csv,
 )
 from .errors import SingularCalibrationError, ThzNirsError, ValidationError
+from .fileio import atomic_write
 from .pathloss import CiModel, directional_path_loss, omni_path_loss
 from .pdap import DEFAULT_NOISE_THRESHOLD_DB, pdap_from_sweeps
 from .reflfit import (
@@ -57,13 +58,6 @@ def _worker_count() -> int:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,8 @@ def _cmd_pipeline(args) -> int:
 
     for r in sorted(rows):
         lines.append(",".join([str(r[0])] + [_fmt(v) for v in r[1:]]))
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx-index", type=int, default=None)
     p.add_argument("--max-bounces", type=int, default=2)
     p.add_argument("--scenario", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("pipeline", help="bundles -> calibration -> PDAP -> path losses")
@@ -325,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-db", type=float, default=DEFAULT_NOISE_THRESHOLD_DB)
     p.add_argument("--ple", type=float, default=2.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("fit", help="fit the reflection-loss angle law")
@@ -352,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature-k", type=float, default=300.0)
     p.add_argument("--bandwidth-hz", type=float, default=15e9)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_coverage)
 
     return parser

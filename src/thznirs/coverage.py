@@ -10,14 +10,13 @@ threshold give exactly one half.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DuplicatePositionError, ValidationError
+from .fileio import atomic_write
 
 BOLTZMANN_W_S_PER_K = 1.381e-23
 
@@ -215,7 +214,6 @@ def write_coverage_csv(
     ratio_with: Sequence[float],
     ratio_without: Sequence[float] | None = None,
 ) -> None:
-    path = Path(path)
     if ratio_without is None:
         lines = ["threshold_db,ratio_with_nirs"]
         for t, rw in zip(thresholds_db, ratio_with):
@@ -224,6 +222,4 @@ def write_coverage_csv(
         lines = ["threshold_db,ratio_with_nirs,ratio_without_nirs"]
         for t, rw, rwo in zip(thresholds_db, ratio_with, ratio_without):
             lines.append(f"{t:.6g},{rw:.6g},{rwo:.6g}")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -9,14 +9,13 @@ and the link budget applies its own gains explicitly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ModelDomainError, NoSignalError, ValidationError
+from .fileio import atomic_write
 from .pdap import Pdap
 from .scene import SPEED_OF_LIGHT
 
@@ -94,13 +93,10 @@ class RxPathLossRow:
 
 
 def write_pathloss_csv(rows: Iterable[RxPathLossRow], path) -> None:
-    path = Path(path)
     lines = ["rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m"]
     for r in sorted(rows, key=lambda r: r.rx_id):
         lines.append(
             f"{r.rx_id},{r.pl_dir_db:.6g},{r.pl_omni_db:.6g},"
             f"{r.reflection_angle_deg:.6g},{r.d1_m:.6g},{r.d2_m:.6g}"
         )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")

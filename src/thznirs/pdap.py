@@ -13,13 +13,13 @@ gives the profile; entries below the noise threshold are replaced by the
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidThresholdError, ValidationError
+from .fileio import atomic_write
 from .scene import FrequencySweep, ScanGrid
 
 SENTINEL_DB = -300.0
@@ -190,9 +190,7 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
                     continue
                 delay_ns = k * pdap.delay_step_s * 1e9
                 lines.append(f"{el[i]:g},{az[j]:g},{delay_ns:.6g},{p:.6g}")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")
     sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".json")
     meta = {
         "scan_grid": {
@@ -204,6 +202,4 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
         "delay_step_s": pdap.delay_step_s,
         "n_delay": pdap.n_delay,
     }
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, sidecar)
+    atomic_write(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")

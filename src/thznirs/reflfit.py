@@ -16,9 +16,7 @@ even when their b falls between coarse grid points.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +27,7 @@ from .errors import (
     UnderdeterminedFitError,
     ValidationError,
 )
+from .fileio import atomic_write
 from .pathloss import CiModel, ci_path_loss
 
 B_GRID_START = 0.05
@@ -238,7 +237,6 @@ def generate_samples(
 
 def write_fit_table_csv(entries: Iterable[tuple[str, str, FitResult]], path) -> None:
     """Table-style CSV: one row per scenario/band."""
-    path = Path(path)
     lines = ["scenario,band,phi_bar_deg,a,b,c,rmse_db"]
     for scenario, band, fit in entries:
         m = fit.model
@@ -246,6 +244,4 @@ def write_fit_table_csv(entries: Iterable[tuple[str, str, FitResult]], path) -> 
             f"{scenario},{band},{m.phi_bar_deg:.6g},{m.a:.6g},{m.b:.6g},"
             f"{m.c:.6g},{fit.rmse_db:.6g}"
         )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -12,13 +12,13 @@ import csv
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AliasingError, BundleFormatError, ValidationError
+from .fileio import atomic_write
 from .scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -302,21 +302,16 @@ def synthesize_sweep(
 # Bundle and sweep files
 # ---------------------------------------------------------------------------
 SWEEP_CSV_HEADER = "freq_hz,s21_re,s21_im"
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+SWEEPS_FILE = "sweeps.npy"
+BUNDLE_FORMAT = "npy"
 
 
 def write_sweep_csv(sweep: FrequencySweep, path) -> None:
     """One direction as CSV; full float precision so round-trips are exact."""
-    path = Path(path)
     lines = [SWEEP_CSV_HEADER]
     for f, s in zip(sweep.frequencies, sweep.samples):
         lines.append(f"{float(f)!r},{float(s.real)!r},{float(s.imag)!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path, plan: FrequencyPlan | None = None) -> FrequencySweep:
@@ -353,11 +348,20 @@ def direction_filename(el_index: int, az_index: int) -> str:
 
 
 def write_bundle(bundle: SweepBundle, dirpath) -> None:
-    """Bundle directory: manifest.json plus one CSV per scan direction."""
+    """Bundle directory: ``sweeps.npy`` plus ``manifest.json``, written last.
+
+    The manifest is what marks a directory as a bundle, so an old one is
+    removed first and the new one is committed only once the sweeps are in
+    place: an interrupted write never leaves a directory that reads as a
+    complete bundle.
+    """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    manifest_path = d / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     m = bundle.manifest
     manifest = {
+        "format": BUNDLE_FORMAT,
         "scenario_id": m.scenario_id,
         "band_label": m.band_label,
         "frequency_plan": {
@@ -373,13 +377,33 @@ def write_bundle(bundle: SweepBundle, dirpath) -> None:
         "nirs": m.nirs,
         "max_bounces": m.max_bounces,
     }
-    _atomic_write_text(d / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for i in range(m.grid.n_elevation):
-        for j in range(m.grid.n_azimuth):
-            write_sweep_csv(bundle.sweep_at(i, j), d / direction_filename(i, j))
+    atomic_write(d / SWEEPS_FILE, lambda fh: np.save(fh, bundle.sweeps, allow_pickle=False))
+    atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
+    try:
+        with open(path, "rb") as fh:
+            sweeps = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise BundleFormatError(f"missing sweep file: {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        reason = " ".join(str(exc).split())
+        raise BundleFormatError(f"{path}: not a readable .npy array ({reason})") from exc
+    if sweeps.dtype != np.complex128:
+        raise BundleFormatError(f"{path}: dtype must be complex128, got {sweeps.dtype}")
+    if sweeps.shape != shape:
+        raise BundleFormatError(f"{path}: shape must be {shape}, got {sweeps.shape}")
+    return sweeps
 
 
 def read_bundle(dirpath) -> SweepBundle:
+    """Read a bundle directory; the manifest's ``format`` key picks the layout.
+
+    ``"npy"`` is the single ``sweeps.npy`` array ``write_bundle`` writes.  A
+    manifest without the key is the sounder's layout of one CSV per scan
+    direction (``el<i>_az<j>.csv``).
+    """
     d = Path(dirpath)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
@@ -403,9 +427,15 @@ def read_bundle(dirpath) -> SweepBundle:
         nirs=bool(raw["nirs"]),
         max_bounces=int(raw["max_bounces"]),
     )
-    sweeps = np.empty((grid.n_elevation, grid.n_azimuth, plan.point_count), dtype=complex)
-    for i in range(grid.n_elevation):
-        for j in range(grid.n_azimuth):
-            sweep = read_sweep_csv(d / direction_filename(i, j), plan=plan)
-            sweeps[i, j] = sweep.samples
+    shape = (grid.n_elevation, grid.n_azimuth, plan.point_count)
+    if "format" not in raw:
+        sweeps = np.empty(shape, dtype=complex)
+        for i in range(grid.n_elevation):
+            for j in range(grid.n_azimuth):
+                sweep = read_sweep_csv(d / direction_filename(i, j), plan=plan)
+                sweeps[i, j] = sweep.samples
+    elif raw["format"] == BUNDLE_FORMAT:
+        sweeps = _read_sweeps_npy(d / SWEEPS_FILE, shape)
+    else:
+        raise BundleFormatError(f"{manifest_path}: unknown bundle format {raw['format']!r}")
     return SweepBundle(manifest=manifest, sweeps=sweeps)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SPOILED_BUNDLES, write_csv_bundle
 
 from thznirs.cli import main
 from thznirs.pathloss import CiModel, directional_path_loss, omni_path_loss
@@ -44,10 +45,11 @@ def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file):
     rx_dirs = sorted(p for p in out.iterdir())
     assert [p.name for p in rx_dirs] == ["rx000", "rx001", "rx002"]
     for d in rx_dirs:
-        names = sorted(p.name for p in d.iterdir())
-        assert "manifest.json" in names
-        assert len([n for n in names if n.endswith(".csv")]) == 4  # 2x2 grid
+        assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
+        sweeps = np.load(d / "sweeps.npy", allow_pickle=False)
+        assert sweeps.shape == (2, 2, PLAN_MINI_306.point_count)  # 2x2 grid
     manifest = json.loads((rx_dirs[0] / "manifest.json").read_text())
+    assert manifest["format"] == "npy"
     assert manifest["nirs"] is True
     assert manifest["scenario_id"] == "mini"
 
@@ -59,8 +61,8 @@ def test_synth_full_corridor_has_180_directions(tmp_path):
         "--rx-index", "0",
     ])
     assert rc == 0
-    files = [p.name for p in (out / "rx000").iterdir() if p.suffix == ".csv"]
-    assert len(files) == 36 * 5
+    sweeps = np.load(out / "rx000" / "sweeps.npy", allow_pickle=False)
+    assert sweeps.shape == (5, 36, 101)
 
 
 def test_synth_flags_panel_free_scene(tmp_path):
@@ -125,9 +127,29 @@ def test_pipeline_matches_in_memory(tmp_path, mini_scene_file):
         assert cells[1:] == expect
 
 
-def test_pipeline_missing_direction_file(tmp_path, mini_scene_file, capsys):
+def _csv_bundles(src, dst):
+    for d in sorted(src.iterdir()):
+        write_csv_bundle(d, dst / d.name)
+
+
+def test_pipeline_same_from_npy_and_csv_bundles(tmp_path, mini_scene_file):
     out = tmp_path / "bundles"
     main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
+    _csv_bundles(out, tmp_path / "csv")
+    results = {}
+    for name in ("bundles", "csv"):
+        results[name] = tmp_path / f"{name}.csv"
+        assert main([
+            "pipeline", "--scene", str(mini_scene_file), "--bundle", str(tmp_path / name),
+            "--ple", "1.35", "--out", str(results[name]),
+        ]) == 0
+    assert results["bundles"].read_bytes() == results["csv"].read_bytes()
+
+
+def test_pipeline_missing_direction_file(tmp_path, mini_scene_file, capsys):
+    main(["synth", "--scene", str(mini_scene_file), "--out", str(tmp_path / "npy")])
+    out = tmp_path / "bundles"
+    _csv_bundles(tmp_path / "npy", out)
     victim = out / "rx001" / "el0_az1.csv"
     victim.unlink()
     rc = main([
@@ -136,6 +158,23 @@ def test_pipeline_missing_direction_file(tmp_path, mini_scene_file, capsys):
     ])
     assert rc == 2
     assert "el0_az1.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(SPOILED_BUNDLES))
+def test_pipeline_spoiled_bundle_exits_2(tmp_path, mini_scene_file, capsys, case):
+    out = tmp_path / "bundles"
+    main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
+    named = SPOILED_BUNDLES[case](out / "rx001")
+    capsys.readouterr()
+    rc = main([
+        "pipeline", "--scene", str(mini_scene_file), "--bundle", str(out),
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(named) in lines[0]
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_pipeline_applies_calibration(tmp_path, mini_scene_file):

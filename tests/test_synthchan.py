@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import SPOILED_BUNDLES, write_csv_bundle
 
+from thznirs import synthchan
 from thznirs.errors import AliasingError, BundleFormatError, ValidationError
 from thznirs.presets import PLAN_306_321, PLAN_MINI_306, corridor_scene
 from thznirs.scene import (
@@ -225,18 +227,34 @@ def test_angle_dependent_wall_loss_applied():
 # ---------------------------------------------------------------------------
 # bundle files
 # ---------------------------------------------------------------------------
-def test_bundle_roundtrip_exact(tmp_path):
+def _two_direction_bundle(scenario_id="synthetic"):
     scene = corridor_scene(plan=PLAN_MINI_306, grid=ScanGrid(azimuth_deg=(140.0, 150.0), elevation_deg=(0.0,)))
-    bundle = synthesize_sweep(scene, 0, scenario_id="roundtrip")
+    return synthesize_sweep(scene, 0, scenario_id=scenario_id)
+
+
+def test_bundle_roundtrip_exact(tmp_path):
+    bundle = _two_direction_bundle("roundtrip")
     d = tmp_path / "bundle"
     write_bundle(bundle, d)
-    assert (d / "manifest.json").exists()
-    assert sorted(p.name for p in d.iterdir() if p.suffix == ".csv") == [
-        "el0_az0.csv", "el0_az1.csv",
-    ]
+    assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
+    stored = np.load(d / "sweeps.npy", allow_pickle=False)
+    assert stored.dtype == np.complex128 and stored.flags.c_contiguous
+    assert stored.shape == (1, 2, PLAN_MINI_306.point_count)
     back = read_bundle(d)
     assert back.manifest == bundle.manifest
     assert np.array_equal(back.sweeps, bundle.sweeps)  # exact float round-trip
+
+
+def test_csv_bundle_reads_like_npy_bundle(tmp_path):
+    bundle = _two_direction_bundle()
+    write_bundle(bundle, tmp_path / "npy")
+    write_csv_bundle(tmp_path / "npy", tmp_path / "csv")
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+        "el0_az0.csv", "el0_az1.csv", "manifest.json",
+    ]
+    back = read_bundle(tmp_path / "csv")
+    assert back.manifest == bundle.manifest
+    assert np.array_equal(back.sweeps, bundle.sweeps)
 
 
 def test_sweep_csv_header_and_order(tmp_path, small_plan, rng):
@@ -251,13 +269,38 @@ def test_sweep_csv_header_and_order(tmp_path, small_plan, rng):
 
 
 def test_bundle_missing_direction_file(tmp_path):
-    scene = corridor_scene(plan=PLAN_MINI_306, grid=ScanGrid(azimuth_deg=(140.0, 150.0), elevation_deg=(0.0,)))
-    bundle = synthesize_sweep(scene, 0)
+    write_bundle(_two_direction_bundle(), tmp_path / "npy")
     d = tmp_path / "bundle"
-    write_bundle(bundle, d)
+    write_csv_bundle(tmp_path / "npy", d)
     (d / direction_filename(0, 1)).unlink()
     with pytest.raises(BundleFormatError, match="el0_az1.csv"):
         read_bundle(d)
+
+
+@pytest.mark.parametrize("case", sorted(SPOILED_BUNDLES))
+def test_bundle_rejects_spoiled_npy_bundle(tmp_path, case):
+    d = tmp_path / "bundle"
+    write_bundle(_two_direction_bundle(), d)
+    named = SPOILED_BUNDLES[case](d)
+    with pytest.raises(BundleFormatError) as info:
+        read_bundle(d)
+    assert str(named) in str(info.value)
+
+
+def test_interrupted_bundle_write_leaves_no_manifest(tmp_path, monkeypatch):
+    d = tmp_path / "bundle"
+    write_bundle(_two_direction_bundle(), d)  # an earlier, complete bundle
+    real_write = synthchan.atomic_write
+
+    def fail_on_manifest(path, data):
+        if path.name == "manifest.json":
+            raise OSError("disk full")
+        real_write(path, data)
+
+    monkeypatch.setattr(synthchan, "atomic_write", fail_on_manifest)
+    with pytest.raises(OSError, match="disk full"):
+        write_bundle(_two_direction_bundle(), d)
+    assert sorted(p.name for p in d.iterdir()) == ["sweeps.npy"]
 
 
 def test_sweep_csv_rejects_wrong_header(tmp_path):
