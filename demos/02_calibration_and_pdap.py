@@ -35,9 +35,9 @@ err = np.max(np.abs(recovered.samples - clean.samples))
 print(f"round trip through the system response: max abs error {err:.2e}")
 
 # whole-bundle round trip, vectorized over directions
-denominator = sysr.extra_samples() * sysr.connect.samples
-raw_bundle = bundle.sweeps * denominator
-calibrated = raw_bundle / denominator
+divisor = sysr.divisor(plan)
+raw_bundle = bundle.sweeps * divisor
+calibrated = raw_bundle / divisor
 pdap = pdap_from_sweeps(calibrated, scene.scan_grid, plan.span_hz, noise_threshold_db=-160.0)
 n_signal = int(np.count_nonzero(pdap.signal_mask()))
 n_total = pdap.power_db.size

@@ -15,20 +15,16 @@ from .coverage import (
     coverage_ratio,
     default_thresholds,
     interpolate_path_loss,
-    interpolate_path_loss_grid,
     snr_db,
 )
 from .pathloss import CiModel, ci_path_loss, directional_path_loss, omni_path_loss
 from .pdap import (
     DEFAULT_NOISE_THRESHOLD_DB,
     SENTINEL_DB,
-    Cir,
     Pdap,
-    assemble_pdap,
     eliminate_noise,
     export_pdap_csv,
     pdap_from_sweeps,
-    to_cir,
 )
 from .reflfit import (
     FitResult,
@@ -53,7 +49,6 @@ from .scene import (
     frequency_grid,
     load_scene,
     nirs_angle_set,
-    reflection_angle,
     rx_link_geometry,
     save_scene,
     specular_point,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, SingularCalibrationError, ValidationError
-from .scene import FrequencySweep
+from .scene import FrequencyPlan, FrequencySweep
 
 _MAG_FLOOR = 1e-12
 
@@ -47,20 +47,31 @@ class SystemResponse:
             return np.ones(self.connect.plan.point_count, dtype=complex)
         return self.extra.samples
 
+    def divisor(self, plan: FrequencyPlan) -> np.ndarray:
+        """extra[k] * connect[k]: what a measurement on ``plan`` is divided by.
+
+        Raises GridMismatchError unless ``plan`` is the system response's
+        grid, and SingularCalibrationError, naming the frequency, where the
+        product's magnitude is below 1e-12.
+        """
+        if plan != self.connect.plan:
+            raise GridMismatchError("calibrate: measurement and system response grids differ")
+        denom = self.extra_samples() * self.connect.samples
+        mags = np.abs(denom)
+        if np.any(mags < _MAG_FLOOR):
+            k = int(np.argmax(mags < _MAG_FLOOR))
+            raise SingularCalibrationError(
+                f"calibration singular: |extra*connect| below 1e-12 at "
+                f"{self.connect.frequencies[k]:.6e} Hz"
+            )
+        return denom
+
 
 def calibrate(measured: FrequencySweep, sys: SystemResponse) -> FrequencySweep:
     """H[k] = measured[k] / (extra[k] * connect[k])."""
-    if measured.plan != sys.connect.plan:
-        raise GridMismatchError("calibrate: measurement and system response grids differ")
-    denom = sys.extra_samples() * sys.connect.samples
-    mags = np.abs(denom)
-    if np.any(mags < _MAG_FLOOR):
-        k = int(np.argmax(mags < _MAG_FLOOR))
-        raise SingularCalibrationError(
-            f"calibration singular: |extra*connect| below 1e-12 at "
-            f"{measured.frequencies[k]:.6e} Hz"
-        )
-    return FrequencySweep(plan=measured.plan, samples=measured.samples / denom)
+    return FrequencySweep(
+        plan=measured.plan, samples=measured.samples / sys.divisor(measured.plan)
+    )
 
 
 def apply_system(channel: FrequencySweep, sys: SystemResponse) -> FrequencySweep:

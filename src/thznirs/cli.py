@@ -26,9 +26,14 @@ from .coverage import (
     interpolate_path_loss,
     write_coverage_csv,
 )
-from .errors import SingularCalibrationError, ThzNirsError, ValidationError
-from .fileio import atomic_write
-from .pathloss import CiModel, directional_path_loss, omni_path_loss
+from .errors import ThzNirsError, ValidationError
+from .pathloss import (
+    CiModel,
+    RxPathLossRow,
+    directional_path_loss,
+    omni_path_loss,
+    write_pathloss_csv,
+)
 from .pdap import DEFAULT_NOISE_THRESHOLD_DB, pdap_from_sweeps
 from .reflfit import (
     ReflLossModel,
@@ -39,9 +44,7 @@ from .reflfit import (
     write_fit_table_csv,
 )
 from .scene import load_scene, nirs_angle_set, rx_link_geometry
-from .synthchan import SweepBundle, read_bundle, read_sweep_csv, synthesize_sweep, write_bundle
-
-_MAG_FLOOR = 1e-12
+from .synthchan import read_bundle, read_sweep_csv, synthesize_sweep, write_bundle
 
 
 def _worker_count() -> int:
@@ -56,8 +59,15 @@ def _worker_count() -> int:
     return cap if cap > 0 else min(4, os.cpu_count() or 1)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.6g}"
+def _parse_range(spec: str) -> np.ndarray:
+    """'start:step:stop' (stop included within 1e-9 steps) or a comma list."""
+    if ":" in spec:
+        start, step, stop = (float(x) for x in spec.split(":"))
+        if step <= 0:
+            raise ValidationError(f"range '{spec}': step must be positive")
+        n = math.floor((stop - start) / step + 1e-9) + 1
+        return start + step * np.arange(n)
+    return np.array([float(x) for x in spec.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +110,6 @@ def _bundle_dirs(root: Path) -> list[Path]:
     return subs
 
 
-def _calibrated_sweeps(bundle: SweepBundle, sys_resp: SystemResponse | None) -> np.ndarray:
-    if sys_resp is None:
-        return bundle.sweeps
-    if sys_resp.connect.plan != bundle.manifest.plan:
-        raise ValidationError("calibration files do not match the bundle frequency plan")
-    denom = sys_resp.extra_samples() * sys_resp.connect.samples
-    mags = np.abs(denom)
-    if np.any(mags < _MAG_FLOOR):
-        k = int(np.argmax(mags < _MAG_FLOOR))
-        raise SingularCalibrationError(
-            f"calibration singular at {sys_resp.connect.frequencies[k]:.6e} Hz"
-        )
-    return bundle.sweeps / denom
-
-
 def _cmd_pipeline(args) -> int:
     scene = load_scene(args.scene)
     if not scene.nirs_panels:
@@ -129,12 +124,19 @@ def _cmd_pipeline(args) -> int:
         sys_resp = SystemResponse(connect=connect, extra=extra)
 
     ci = CiModel(ple=args.ple)
-    lines = ["rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db"]
     rows = []
+    seen: dict[int, Path] = {}
     for bdir in _bundle_dirs(Path(args.bundle)):
         bundle = read_bundle(bdir)
         m = bundle.manifest
-        sweeps = _calibrated_sweeps(bundle, sys_resp)
+        if m.rx_index in seen:
+            raise ValidationError(
+                f"bundles {seen[m.rx_index]} and {bdir} both hold rx {m.rx_index}"
+            )
+        seen[m.rx_index] = bdir
+        sweeps = bundle.sweeps
+        if sys_resp is not None:
+            sweeps = sweeps / sys_resp.divisor(m.plan)
         pdap = pdap_from_sweeps(
             sweeps, m.grid, m.plan.span_hz, noise_threshold_db=args.threshold_db
         )
@@ -148,28 +150,16 @@ def _cmd_pipeline(args) -> int:
         pl_omni = omni_path_loss(pdap)
         phi, _spec, d1, d2 = rx_link_geometry(scene, m.rx_index)
         l_ref = additional_reflection_loss(pl_dir, ci, m.plan.center_hz, d1, d2)
-        rows.append((m.rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref))
+        rows.append(RxPathLossRow(m.rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref))
 
-    for r in sorted(rows):
-        lines.append(",".join([str(r[0])] + [_fmt(v) for v in r[1:]]))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    write_pathloss_csv(rows, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
-def _parse_angles(spec: str) -> list[float]:
-    if ":" in spec:
-        start, step, stop = (float(x) for x in spec.split(":"))
-        if step <= 0:
-            raise ValidationError("angle range step must be positive")
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        return [start + k * step for k in range(n)]
-    return [float(x) for x in spec.split(",")]
-
-
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -215,7 +205,7 @@ def _cmd_fit(args) -> int:
         model = ReflLossModel(
             phi_bar_deg=float(parts[2]), a=float(parts[3]), b=float(parts[4]), c=float(parts[5])
         )
-        angles = _parse_angles(args.angles)
+        angles = _parse_range(args.angles)
         rng = np.random.default_rng(args.seed)
         samples = generate_samples(
             model, angles, noise_sigma_db=args.noise_sigma, rng=rng, band_label=band
@@ -236,16 +226,6 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
-def _parse_thresholds(spec: str) -> np.ndarray:
-    if ":" in spec:
-        start, step, stop = (float(x) for x in spec.split(":"))
-        if step <= 0:
-            raise ValidationError("threshold range step must be positive")
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        return start + step * np.arange(n)
-    return np.array([float(x) for x in spec.split(",")])
-
-
 def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -271,9 +251,7 @@ def _cmd_coverage(args) -> int:
         temperature_k=args.temperature_k,
         bandwidth_hz=args.bandwidth_hz,
     )
-    thresholds = (
-        _parse_thresholds(args.thresholds) if args.thresholds else default_thresholds()
-    )
+    thresholds = _parse_range(args.thresholds) if args.thresholds else default_thresholds()
     pl_with = _read_pl_omni(args.results, scene.n_rx)
     cmap = interpolate_path_loss(scene.rx_positions, pl_with, resolution_m=args.resolution)
     curve_with = coverage_curve(cmap, budget, thresholds)

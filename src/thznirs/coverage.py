@@ -143,50 +143,6 @@ def interpolate_path_loss(
     )
 
 
-def interpolate_path_loss_grid(
-    x_m: Sequence[float], y_m: Sequence[float], pl_db, resolution_m: float = 0.05
-) -> CoverageMap:
-    """Optional 2-D mode: bilinear blend over a rectangular anchor grid.
-
-    Samples are cell midpoints at the resolution; the returned map reuses the
-    CoverageMap container with the cell index line as its arc axis.
-    """
-    x = np.asarray(x_m, dtype=float)
-    y = np.asarray(y_m, dtype=float)
-    pl = np.asarray(pl_db, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or pl.shape != (y.shape[0], x.shape[0]):
-        raise ValidationError("grid interpolation needs pl shaped (len(y), len(x))")
-    if x.shape[0] < 2 or y.shape[0] < 2:
-        raise ValidationError("grid interpolation needs at least 2x2 anchors")
-    if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
-        raise ValidationError("grid coordinates must be strictly increasing")
-
-    vals = []
-    for iy in range(y.shape[0] - 1):
-        for ix in range(x.shape[0] - 1):
-            nx = max(1, int(math.ceil((x[ix + 1] - x[ix]) / resolution_m)))
-            ny = max(1, int(math.ceil((y[iy + 1] - y[iy]) / resolution_m)))
-            tx = (np.arange(nx) + 0.5) / nx
-            ty = (np.arange(ny) + 0.5) / ny
-            txg, tyg = np.meshgrid(tx, ty)
-            blend = (
-                (1 - txg) * (1 - tyg) * pl[iy, ix]
-                + txg * (1 - tyg) * pl[iy, ix + 1]
-                + (1 - txg) * tyg * pl[iy + 1, ix]
-                + txg * tyg * pl[iy + 1, ix + 1]
-            )
-            vals.append(blend.ravel())
-    samples = np.concatenate(vals)
-    anchor = np.array([0.0, float(samples.shape[0])])
-    return CoverageMap(
-        anchor_arc_m=anchor,
-        anchor_pl_db=np.array([pl.ravel()[0], pl.ravel()[-1]]),
-        sample_arc_m=np.arange(samples.shape[0], dtype=float) + 0.5,
-        sample_pl_db=samples,
-        resolution_m=float(resolution_m),
-    )
-
-
 def coverage_ratio(cmap: CoverageMap, budget: LinkBudget, threshold_db: float) -> float:
     """Fraction of equal-weight samples whose SNR meets the threshold."""
     snr = snr_db(budget, cmap.sample_pl_db)

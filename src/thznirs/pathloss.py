@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelDomainError, NoSignalError, ValidationError
 from .fileio import atomic_write
-from .pdap import Pdap
+from .pdap import SENTINEL_DB, Pdap
 from .scene import SPEED_OF_LIGHT
 
 
@@ -51,7 +51,7 @@ def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
 
 def _linear_power_sum(pdap: Pdap, el_idx: np.ndarray, az_idx: np.ndarray) -> float:
     block = pdap.power_db[el_idx, az_idx, :]
-    mask = block != pdap.sentinel_db
+    mask = block != SENTINEL_DB
     if not np.any(mask):
         raise NoSignalError("path loss: every selected entry is noise")
     return float(np.sum(10.0 ** (block[mask] / 10.0)))
@@ -82,7 +82,7 @@ def omni_path_loss(pdap: Pdap) -> float:
 
 @dataclass(frozen=True)
 class RxPathLossRow:
-    """One receiver's results for the batch CSV."""
+    """One receiver's results for the pipeline CSV."""
 
     rx_id: int
     pl_dir_db: float
@@ -90,13 +90,15 @@ class RxPathLossRow:
     reflection_angle_deg: float
     d1_m: float
     d2_m: float
+    l_ref_db: float
 
 
 def write_pathloss_csv(rows: Iterable[RxPathLossRow], path) -> None:
-    lines = ["rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m"]
+    """The pipeline results file: one row per receiver, sorted by rx id."""
+    lines = ["rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db"]
     for r in sorted(rows, key=lambda r: r.rx_id):
         lines.append(
             f"{r.rx_id},{r.pl_dir_db:.6g},{r.pl_omni_db:.6g},"
-            f"{r.reflection_angle_deg:.6g},{r.d1_m:.6g},{r.d2_m:.6g}"
+            f"{r.reflection_angle_deg:.6g},{r.d1_m:.6g},{r.d2_m:.6g},{r.l_ref_db:.6g}"
         )
     atomic_write(path, "\n".join(lines) + "\n")

@@ -20,31 +20,10 @@ import numpy as np
 
 from .errors import InvalidThresholdError, ValidationError
 from .fileio import atomic_write
-from .scene import FrequencySweep, ScanGrid
+from .scene import ScanGrid
 
 SENTINEL_DB = -300.0
 DEFAULT_NOISE_THRESHOLD_DB = -160.0
-
-
-@dataclass(frozen=True)
-class Cir:
-    """Channel impulse response samples with the delay-axis label step.
-
-    ``delay_step_s`` is 1 / (f_stop - f_start): the nominal time resolution
-    of the sweep, used to label delay bins.
-    """
-
-    samples: np.ndarray
-    delay_step_s: float
-
-    def __post_init__(self):
-        s = np.array(self.samples, dtype=complex)
-        if s.ndim != 1:
-            raise ValidationError("cir: samples must be a 1-D complex array")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        if not (self.delay_step_s > 0):
-            raise ValidationError("cir: delay step must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,16 +34,16 @@ class Pdap:
     noise_threshold_db: float
     grid: ScanGrid
     delay_step_s: float
-    sentinel_db: float = SENTINEL_DB
 
     def __post_init__(self):
         p = np.array(self.power_db, dtype=float)
         if p.ndim != 3:
             raise ValidationError("pdap: power must be a 3-D array")
         if p.shape[0] != self.grid.n_elevation or p.shape[1] != self.grid.n_azimuth:
-            raise ValidationError("pdap: power dimensions must match the scan grid")
-        if self.sentinel_db != SENTINEL_DB:
-            raise ValidationError("pdap: sentinel is fixed at -300 dB")
+            raise ValidationError(
+                f"pdap: power dimensions {p.shape[0]}x{p.shape[1]} must match the scan "
+                f"grid's {self.grid.n_elevation} elevation x {self.grid.n_azimuth} azimuth"
+            )
         if not np.all((p == SENTINEL_DB) | (p >= self.noise_threshold_db)):
             raise ValidationError(
                 "pdap: every entry must be >= the noise threshold or the sentinel"
@@ -78,19 +57,11 @@ class Pdap:
 
     def signal_mask(self) -> np.ndarray:
         """Boolean cube: True where the entry is signal, False where sentinel."""
-        return self.power_db != self.sentinel_db
-
-
-def to_cir(sweep: FrequencySweep) -> Cir:
-    """Inverse DFT of one sweep; grids are uniform by construction."""
-    return Cir(
-        samples=np.fft.ifft(sweep.samples),
-        delay_step_s=1.0 / sweep.plan.span_hz,
-    )
+        return self.power_db != SENTINEL_DB
 
 
 def cir_array(sweeps: np.ndarray) -> np.ndarray:
-    """Batch inverse DFT along the last axis; same convention as to_cir."""
+    """Inverse DFT along the last axis; grids are uniform by construction."""
     return np.fft.ifft(np.asarray(sweeps, dtype=complex), axis=-1)
 
 
@@ -100,53 +71,17 @@ def _power_db(samples: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(mags)
 
 
-def assemble_pdap(
-    cirs,
-    grid: ScanGrid,
-    noise_threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB,
-) -> Pdap:
-    """Merge per-direction CIRs into a thresholded profile.
-
-    ``cirs`` is a nested (n_el x n_az) sequence of Cir objects sharing one
-    length and delay step.  Entries below the threshold become the sentinel.
-    """
-    if noise_threshold_db <= SENTINEL_DB:
-        raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
-    rows = list(cirs)
-    if len(rows) != grid.n_elevation:
-        raise ValidationError("assemble_pdap: elevation count mismatch")
-    first: Cir | None = None
-    cube = []
-    for row in rows:
-        row = list(row)
-        if len(row) != grid.n_azimuth:
-            raise ValidationError("assemble_pdap: azimuth count mismatch")
-        for c in row:
-            if first is None:
-                first = c
-            else:
-                if c.samples.shape != first.samples.shape:
-                    raise ValidationError("assemble_pdap: CIR length mismatch")
-                if abs(c.delay_step_s - first.delay_step_s) > 1e-12 * first.delay_step_s:
-                    raise ValidationError("assemble_pdap: CIR delay step mismatch")
-        cube.append([c.samples for c in row])
-    power = _power_db(np.asarray(cube))
-    power = np.where(power < noise_threshold_db, SENTINEL_DB, power)
-    return Pdap(
-        power_db=power,
-        noise_threshold_db=noise_threshold_db,
-        grid=grid,
-        delay_step_s=first.delay_step_s,
-    )
-
-
 def pdap_from_sweeps(
     sweeps: np.ndarray,
     grid: ScanGrid,
     span_hz: float,
     noise_threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB,
 ) -> Pdap:
-    """Vectorized assemble for a (n_el, n_az, n_freq) sweep array."""
+    """Thresholded profile of a (n_el, n_az, n_freq) sweep array.
+
+    The delay axis is labelled in steps of 1 / span_hz, the nominal time
+    resolution of the sweep.  Entries below the threshold become the sentinel.
+    """
     if noise_threshold_db <= SENTINEL_DB:
         raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
     h = cir_array(sweeps)
@@ -186,7 +121,7 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
         for j in range(pdap.grid.n_azimuth):
             for k in range(pdap.n_delay):
                 p = pdap.power_db[i, j, k]
-                if p == pdap.sentinel_db:
+                if p == SENTINEL_DB:
                     continue
                 delay_ns = k * pdap.delay_step_s * 1e9
                 lines.append(f"{el[i]:g},{az[j]:g},{delay_ns:.6g},{p:.6g}")
@@ -198,7 +133,7 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
             "elevation_deg": list(pdap.grid.elevation_deg),
         },
         "noise_threshold_db": pdap.noise_threshold_db,
-        "sentinel_db": pdap.sentinel_db,
+        "sentinel_db": SENTINEL_DB,
         "delay_step_s": pdap.delay_step_s,
         "n_delay": pdap.n_delay,
     }

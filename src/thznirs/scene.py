@@ -197,11 +197,6 @@ class ScanGrid:
         out.setflags(write=False)
         return out
 
-    def all_indices(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j) for i in range(self.n_elevation) for j in range(self.n_azimuth)
-        )
-
 
 def direction_vector(el_deg: float, az_deg: float) -> np.ndarray:
     el = math.radians(el_deg)
@@ -501,7 +496,6 @@ class Surface:
     surface_id: str
     rectangle: Rectangle
     material_loss: LossTable
-    kind: str  # "wall" | "panel"
 
 
 @dataclass(frozen=True)
@@ -543,14 +537,12 @@ class Scene:
     def surfaces(self) -> list[Surface]:
         """Walls plus every active sub-panel, in a stable id order."""
         out = [
-            Surface(f"wall{i}", w.rectangle, w.material_loss, "wall")
+            Surface(f"wall{i}", w.rectangle, w.material_loss)
             for i, w in enumerate(self.walls)
         ]
         for p_idx, panel in enumerate(self.nirs_panels):
             for (r, c), rect in panel.active_rectangles():
-                out.append(
-                    Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss, "panel")
-                )
+                out.append(Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss))
         return out
 
     # Convenience variants used by paired with/without comparisons.
@@ -633,41 +625,19 @@ def specular_point(scene: Scene, rx_index: int, panel_index: int = 0) -> np.ndar
     return hit[1]
 
 
-def reflection_angle(
-    scene: Scene,
-    rx_index: int,
-    panel_index: int = 0,
-    fallback_to_center: bool = False,
-) -> float:
-    """Azimuth-plane angle between the reflected direction and the panel normal.
-
-    Measured at the specular point of the Tx -> panel -> Rx hop, in [0, 90)
-    degrees; elevation offsets are projected out.  Without specular geometry
-    this raises, unless ``fallback_to_center`` asks for the panel-center
-    approximation (angle of incidence of the Tx ray at the panel center).
-    """
-    if not scene.nirs_panels:
-        raise SceneValidationError("scene has no NIRS panel")
-    rect = scene.nirs_panels[panel_index].rectangle
-    try:
-        point = specular_point(scene, rx_index, panel_index)
-    except NoSpecularGeometryError:
-        if not fallback_to_center:
-            raise
-        incident = rect.center - scene.tx_position
-        return _azimuth_angle_to_normal(incident, rect.normal)
-    reflected = scene.rx_position(rx_index) - point
-    return _azimuth_angle_to_normal(reflected, rect.normal)
-
-
 def rx_link_geometry(
     scene: Scene, rx_index: int, panel_index: int = 0
 ) -> tuple[float, bool, float, float]:
     """(reflection angle deg, specular?, d1 Tx->point, d2 point->Rx).
 
-    Falls back to the panel center, flagged non-specular, when the mirror
-    construction misses the panel.
+    The angle is the azimuth-plane angle between the reflected direction and
+    the panel normal at the specular point, in [0, 90) degrees; elevation
+    offsets are projected out.  When the mirror construction misses the
+    panel, the panel center stands in, flagged non-specular, and the angle is
+    the incidence of the Tx ray there.  specular_point is the strict check.
     """
+    if not scene.nirs_panels:
+        raise SceneValidationError("scene has no NIRS panel")
     rect = scene.nirs_panels[panel_index].rectangle
     try:
         point = specular_point(scene, rx_index, panel_index)
@@ -705,12 +675,6 @@ def _position3(value, height: float, what: str) -> np.ndarray:
     return arr
 
 
-def _loss_from_json(value) -> LossTable:
-    if isinstance(value, (int, float)):
-        return LossTable.constant(float(value))
-    return LossTable(points=tuple((float(a), float(l)) for a, l in value))
-
-
 def _pattern_from_json(obj, default: AntennaPattern) -> AntennaPattern:
     if obj is None:
         return default
@@ -732,7 +696,7 @@ def scene_from_dict(data: dict) -> Scene:
         walls.append(
             Wall(
                 rectangle=Rectangle(corners=np.asarray(w["corners"], dtype=float)),
-                material_loss=_loss_from_json(w["material_loss_db"]),
+                material_loss=w["material_loss_db"],
             )
         )
 
@@ -746,7 +710,7 @@ def scene_from_dict(data: dict) -> Scene:
         panels.append(
             NirsPanel(
                 rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
-                material_loss=_loss_from_json(p["material_loss_db"]),
+                material_loss=p["material_loss_db"],
                 subdivision=tuple(int(x) for x in p.get("subdivision", (3, 3))),
                 active_cells=cells,
             )

@@ -29,7 +29,7 @@ from thznirs.coverage import (
     snr_db,
 )
 from thznirs.pathloss import CiModel, ci_path_loss, directional_path_loss, omni_path_loss
-from thznirs.pdap import SENTINEL_DB, Pdap, eliminate_noise, pdap_from_sweeps, to_cir
+from thznirs.pdap import SENTINEL_DB, Pdap, cir_array, eliminate_noise, pdap_from_sweeps
 from thznirs.presets import (
     PLAN_306_321,
     PLAN_356_371,
@@ -116,8 +116,7 @@ def test_criterion_02_pdap_single_path_oracle(paper_plan):
 
     # Parseval under the fixed inverse convention
     sweep = bundle.sweep_at(peak[0], peak[1])
-    cir = to_cir(sweep)
-    lhs = float(np.sum(np.abs(cir.samples) ** 2))
+    lhs = float(np.sum(np.abs(cir_array(sweep.samples)) ** 2))
     rhs = float(np.sum(np.abs(sweep.samples) ** 2)) / paper_plan.point_count
     parseval_rel = abs(lhs - rhs) / rhs
 

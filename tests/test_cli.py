@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,23 @@ def test_pipeline_spoiled_bundle_exits_2(tmp_path, mini_scene_file, capsys, case
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_pipeline_rejects_duplicate_rx_ids(tmp_path, mini_scene_file, capsys):
+    out = tmp_path / "bundles"
+    main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
+    copy = out / "copy_of_rx001"
+    shutil.copytree(out / "rx001", copy)
+    capsys.readouterr()
+    rc = main([
+        "pipeline", "--scene", str(mini_scene_file), "--bundle", str(out),
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{copy} and {out / 'rx001'}" in lines[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
     out = tmp_path / "bundles"
     main(["synth", "--scene", str(mini_scene_file), "--out", str(out), "--rx-index", "0"])
@@ -249,6 +267,50 @@ def test_fit_seeded_noise_is_reproducible(tmp_path):
 def test_fit_requires_exactly_one_source(tmp_path, capsys):
     rc = main(["fit", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
+
+
+def test_fit_angle_range_equals_list(tmp_path):
+    tables = []
+    for angles in ("5:10:75", "5,15,25,35,45,55,65,75"):
+        out = tmp_path / f"t{len(tables)}.csv"
+        assert main([
+            "fit", "--generate", "corridor,306-321GHz,17.51,2.80,0.48,7.4",
+            "--angles", angles, "--noise-sigma", "0.5", "--out", str(out),
+        ]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_coverage_threshold_range_equals_default(tmp_path):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "results.csv"
+    _write_results(results, scene_file, list(np.linspace(104.0, 130.0, 9)))
+    outs = []
+    for extra in ([], ["--thresholds=-10:1:30"]):
+        out = tmp_path / f"cov{len(outs)}.csv"
+        assert main([
+            "coverage", "--scene", scene_file, "--results", str(results),
+            "--out", str(out), *extra,
+        ]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_range_step_not_positive_exits_2(tmp_path, capsys, step):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "results.csv"
+    _write_results(results, scene_file, [105.0] * 9)
+    runs = [
+        ["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+         f"--angles=5:{step}:75", "--out", str(tmp_path / "t.csv")],
+        ["coverage", "--scene", scene_file, "--results", str(results),
+         f"--thresholds=-10:{step}:30", "--out", str(tmp_path / "c.csv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "c.csv").exists()
 
 
 def _write_results(path, scene_file, pl_values):

@@ -9,7 +9,6 @@ from thznirs.coverage import (
     coverage_ratio,
     default_thresholds,
     interpolate_path_loss,
-    interpolate_path_loss_grid,
     snr_db,
     write_coverage_csv,
 )
@@ -154,25 +153,6 @@ def test_ratio_non_decreasing_in_tx_power():
 def test_default_thresholds_span():
     ths = default_thresholds()
     assert ths[0] == -10.0 and ths[-1] == 30.0 and len(ths) == 41
-
-
-# ---------------------------------------------------------------------------
-# optional 2-D mode
-# ---------------------------------------------------------------------------
-def test_bilinear_grid_constant_field():
-    cmap = interpolate_path_loss_grid(
-        [0.0, 1.0, 2.0], [0.0, 1.0], np.full((2, 3), 100.0), resolution_m=0.25
-    )
-    assert np.allclose(cmap.sample_pl_db, 100.0)
-    assert coverage_ratio(cmap, LinkBudget(), 10.0) == 1.0
-
-
-def test_bilinear_cell_center_value():
-    pl = np.array([[100.0, 120.0], [140.0, 160.0]])
-    cmap = interpolate_path_loss_grid([0.0, 1.0], [0.0, 1.0], pl, resolution_m=1.0)
-    # a single cell sampled at its center averages the four corners
-    assert cmap.sample_pl_db.shape == (1,)
-    assert cmap.sample_pl_db[0] == pytest.approx(130.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,12 @@ def test_directional_matches_reflected_budget():
 # ---------------------------------------------------------------------------
 def test_write_pathloss_csv(tmp_path):
     rows = [
-        RxPathLossRow(1, 101.25, 100.5, 45.0382, 9.00144, 1.59444),
-        RxPathLossRow(0, 99.123456, 98.7654321, 44.0, 8.5, 1.25),
+        RxPathLossRow(1, 101.25, 100.5, 45.0382, 9.00144, 1.59444, 7.5),
+        RxPathLossRow(0, 99.123456, 98.7654321, 44.0, 8.5, 1.25, -0.1234567),
     ]
     out = tmp_path / "batch.csv"
     write_pathloss_csv(rows, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m"
-    assert lines[1].startswith("0,99.1235,98.7654,44,8.5,1.25")
-    assert lines[2].startswith("1,101.25,100.5,45.0382,9.00144,1.59444")
+    assert lines[0] == "rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db"
+    assert lines[1] == "0,99.1235,98.7654,44,8.5,1.25,-0.123457"
+    assert lines[2] == "1,101.25,100.5,45.0382,9.00144,1.59444,7.5"

@@ -7,22 +7,20 @@ from conftest import single_direction_grid, smooth_sweep
 from thznirs.errors import InvalidThresholdError, ValidationError
 from thznirs.pdap import (
     SENTINEL_DB,
-    Cir,
     Pdap,
-    assemble_pdap,
     cir_array,
     eliminate_noise,
     export_pdap_csv,
     pdap_from_sweeps,
-    to_cir,
 )
 from thznirs.presets import los_scene
 from thznirs.scene import SPEED_OF_LIGHT, FrequencySweep, ScanGrid
 from thznirs.synthchan import synthesize_sweep
 
 
-def _flat_cir(mag, n=64, delay_step=1e-9):
-    return Cir(samples=np.full(n, mag, dtype=complex), delay_step_s=delay_step)
+def _flat_cir_sweeps(mag, n=64):
+    """One direction's sweep whose CIR has magnitude ``mag`` at every delay."""
+    return np.fft.fft(np.full(n, mag, dtype=complex))[None, None, :]
 
 
 def _pdap_from_powers(powers, threshold=-299.9):
@@ -43,44 +41,38 @@ def _pdap_from_powers(powers, threshold=-299.9):
 # ---------------------------------------------------------------------------
 def test_flat_spectrum_is_delta_at_zero(small_plan):
     sweep = FrequencySweep(small_plan, np.ones(small_plan.point_count, dtype=complex))
-    cir = to_cir(sweep)
-    assert abs(cir.samples[0] - 1.0) < 1e-12
-    assert np.max(np.abs(cir.samples[1:])) < 1e-12
+    cir = cir_array(sweep.samples)
+    assert abs(cir[0] - 1.0) < 1e-12
+    assert np.max(np.abs(cir[1:])) < 1e-12
 
 
 def test_phase_ramp_is_shifted_delta(small_plan):
     n = small_plan.point_count
     k0 = 17
     sweep = FrequencySweep(small_plan, np.exp(-2j * np.pi * np.arange(n) * k0 / n))
-    cir = to_cir(sweep)
-    assert abs(abs(cir.samples[k0]) - 1.0) < 1e-12
-    rest = np.delete(np.abs(cir.samples), k0)
+    cir = cir_array(sweep.samples)
+    assert abs(abs(cir[k0]) - 1.0) < 1e-12
+    rest = np.delete(np.abs(cir), k0)
     assert np.max(rest) < 1e-12
 
 
+def _delay_step(plan):
+    sweeps = np.ones((1, 1, plan.point_count), dtype=complex)
+    return pdap_from_sweeps(sweeps, single_direction_grid(), plan.span_hz).delay_step_s
+
+
 def test_delay_step_is_inverse_span(paper_plan, small_plan):
-    sweep = FrequencySweep(paper_plan, np.ones(paper_plan.point_count, dtype=complex))
-    assert to_cir(sweep).delay_step_s == pytest.approx(1.0 / 15e9, rel=1e-12)
-    assert to_cir(sweep).delay_step_s * 1e12 == pytest.approx(66.7, abs=0.05)
-    sweep = FrequencySweep(small_plan, np.ones(small_plan.point_count, dtype=complex))
-    assert to_cir(sweep).delay_step_s == pytest.approx(1.0 / 0.25e9, rel=1e-12)
+    assert _delay_step(paper_plan) == pytest.approx(1.0 / 15e9, rel=1e-12)
+    assert _delay_step(paper_plan) * 1e12 == pytest.approx(66.7, abs=0.05)
+    assert _delay_step(small_plan) == pytest.approx(1.0 / 0.25e9, rel=1e-12)
 
 
 def test_parseval(small_plan, rng):
     for _ in range(10):
         sweep = smooth_sweep(small_plan, rng)
-        cir = to_cir(sweep)
-        lhs = float(np.sum(np.abs(cir.samples) ** 2))
+        lhs = float(np.sum(np.abs(cir_array(sweep.samples)) ** 2))
         rhs = float(np.sum(np.abs(sweep.samples) ** 2)) / small_plan.point_count
         assert abs(lhs - rhs) / rhs < 1e-10
-
-
-def test_cir_array_matches_to_cir(small_plan, rng):
-    sweeps = np.stack([smooth_sweep(small_plan, rng).samples for _ in range(4)])
-    batch = cir_array(sweeps)
-    for k in range(4):
-        single = to_cir(FrequencySweep(small_plan, sweeps[k]))
-        assert np.allclose(batch[k], single.samples, rtol=0, atol=1e-15)
 
 
 def test_single_path_peak_bin_1500(paper_plan):
@@ -98,22 +90,20 @@ def test_single_path_peak_bin_1500(paper_plan):
 # assembly and thresholding
 # ---------------------------------------------------------------------------
 def test_assemble_keeps_levels_above_threshold():
-    pdap = assemble_pdap([[_flat_cir(1e-5)]], single_direction_grid(), -160.0)
+    pdap = pdap_from_sweeps(_flat_cir_sweeps(1e-5), single_direction_grid(), 1e9, -160.0)
     assert np.allclose(pdap.power_db, -100.0)
     assert np.all(pdap.signal_mask())
 
 
 def test_assemble_eliminates_below_threshold():
-    pdap = assemble_pdap([[_flat_cir(1e-9)]], single_direction_grid(), -160.0)
+    pdap = pdap_from_sweeps(_flat_cir_sweeps(1e-9), single_direction_grid(), 1e9, -160.0)
     assert np.all(pdap.power_db == SENTINEL_DB)
 
 
 def test_assemble_validates_shapes():
     grid = ScanGrid(azimuth_deg=(0.0, 10.0), elevation_deg=(0.0,))
     with pytest.raises(ValidationError, match="azimuth"):
-        assemble_pdap([[_flat_cir(1e-5)]], grid, -160.0)
-    with pytest.raises(ValidationError, match="length"):
-        assemble_pdap([[_flat_cir(1e-5, n=64), _flat_cir(1e-5, n=32)]], grid, -160.0)
+        pdap_from_sweeps(_flat_cir_sweeps(1e-5), grid, 1e9, -160.0)
 
 
 def test_eliminate_matches_brute_force(rng):
@@ -157,7 +147,7 @@ def test_threshold_domain():
     with pytest.raises(InvalidThresholdError):
         eliminate_noise(pdap, -300.0)
     with pytest.raises(InvalidThresholdError):
-        assemble_pdap([[_flat_cir(1e-5)]], single_direction_grid(), -301.0)
+        pdap_from_sweeps(_flat_cir_sweeps(1e-5), single_direction_grid(), 1e9, -301.0)
 
 
 def test_pdap_invariant_enforced():

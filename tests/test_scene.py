@@ -22,7 +22,6 @@ from thznirs.scene import (
     frequency_grid,
     load_scene,
     nirs_angle_set,
-    reflection_angle,
     rx_link_geometry,
     save_scene,
     scene_from_dict,
@@ -267,7 +266,7 @@ def test_angle_set_monotone_in_panel_area(rng):
 
 
 # ---------------------------------------------------------------------------
-# reflection_angle
+# link geometry
 # ---------------------------------------------------------------------------
 def _panel_scene(tx, rx, width=2.0, height=2.0):
     panel = NirsPanel(
@@ -284,30 +283,41 @@ def _panel_scene(tx, rx, width=2.0, height=2.0):
     )
 
 
+def _specular_angle(scene, rx_index):
+    phi, spec, _, _ = rx_link_geometry(scene, rx_index)
+    assert spec is True
+    return phi
+
+
 def test_reflection_angle_symmetric_30_degrees():
     d, a = 3.0, math.radians(30.0)
     scene = _panel_scene([d * math.cos(a), -d * math.sin(a), 2.0],
                          [d * math.cos(a), d * math.sin(a), 2.0])
-    assert reflection_angle(scene, 0) == pytest.approx(30.0, abs=1e-9)
+    assert _specular_angle(scene, 0) == pytest.approx(30.0, abs=1e-9)
 
 
 def test_reflection_angle_on_normal_is_zero():
     scene = _panel_scene([4.0, 0.0, 2.0], [1.5, 0.0, 2.0])
-    assert reflection_angle(scene, 0) == pytest.approx(0.0, abs=1e-9)
+    assert _specular_angle(scene, 0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_reflection_angle_off_panel_raises_then_falls_back():
     # Rx placed so the mirror ray crosses the plane outside the 2 m panel.
     scene = _panel_scene([4.0, -8.0, 2.0], [1.0, 12.0, 2.0])
     with pytest.raises(NoSpecularGeometryError):
-        reflection_angle(scene, 0)
-    phi = reflection_angle(scene, 0, fallback_to_center=True)
+        specular_point(scene, 0)
+    phi, spec, d1, d2 = rx_link_geometry(scene, 0)
     # panel-center fallback: incidence angle of the Tx->center ray
     expected = math.degrees(math.atan2(8.0, 4.0))
     assert phi == pytest.approx(expected, abs=1e-9)
-    _, spec, d1, d2 = rx_link_geometry(scene, 0)
     assert not spec
     assert d1 == pytest.approx(math.hypot(4.0, 8.0), abs=1e-12)
+
+
+def test_link_geometry_without_panel_raises():
+    scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
+    with pytest.raises(SceneValidationError, match="no NIRS panel"):
+        rx_link_geometry(scene, 0)
 
 
 def test_specular_point_opposite_sides_error():
@@ -318,7 +328,7 @@ def test_specular_point_opposite_sides_error():
 
 def test_reflection_angle_rigid_motion_invariant():
     base = corridor_scene(plan=PLAN_MINI_306)
-    ref = [reflection_angle(base, k) for k in range(base.n_rx)]
+    ref = [_specular_angle(base, k) for k in range(base.n_rx)]
     # rotate about z and translate; tilting would change the azimuth plane
     ang = math.radians(37.0)
     rot = np.array(
@@ -342,7 +352,7 @@ def test_reflection_angle_rigid_motion_invariant():
         frequency_plan=base.frequency_plan,
         scan_grid=base.scan_grid,
     )
-    out = [reflection_angle(moved, k) for k in range(moved.n_rx)]
+    out = [_specular_angle(moved, k) for k in range(moved.n_rx)]
     assert np.allclose(out, ref, atol=1e-9)
 
 
@@ -355,7 +365,7 @@ def test_reflection_angle_half_angle_property():
     rx_dir = (scene.rx_positions[0] - s)[:2]
     cosang = tx_dir @ rx_dir / (np.linalg.norm(tx_dir) * np.linalg.norm(rx_dir))
     full = math.degrees(math.acos(cosang))
-    assert reflection_angle(scene, 0) == pytest.approx(full / 2.0, abs=1e-9)
+    assert _specular_angle(scene, 0) == pytest.approx(full / 2.0, abs=1e-9)
 
 
 def test_reflection_angle_matches_2d_image_oracle():
@@ -375,7 +385,7 @@ def test_reflection_angle_matches_2d_image_oracle():
             refl = rx - s2d
             cosang = abs(np.dot(refl, n)) / np.linalg.norm(refl)
             expected = math.degrees(math.acos(min(1.0, cosang)))
-            assert reflection_angle(scene, k) == pytest.approx(expected, abs=1e-9)
+            assert _specular_angle(scene, k) == pytest.approx(expected, abs=1e-9)
 
 
 def test_scene_rx_index_out_of_range():
