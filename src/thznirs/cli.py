@@ -234,7 +234,10 @@ def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
             raise ValidationError(f"{path}: needs columns rx_id and pl_omni_db")
         values: dict[int, float] = {}
         for row in reader:
-            values[int(row["rx_id"])] = float(row["pl_omni_db"])
+            k = int(row["rx_id"])
+            if k in values:
+                raise ValidationError(f"{path}: rx_id {k} is listed twice")
+            values[k] = float(row["pl_omni_db"])
     missing = [k for k in range(n_rx) if k not in values]
     if missing:
         raise ValidationError(f"{path}: missing pl_omni_db for rx ids {missing}")

@@ -36,6 +36,7 @@ B_GRID_STEP = 0.05
 PHI_GRID_STEP_DEG = 0.01
 REFINE_STAGES = 7
 _TIE_TOL = 1e-12
+_BLOCK_ELEMS = 1 << 14  # (rows, k, n) elements per array op: temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ class ReflSample:
     band_label: str = ""
 
     def __post_init__(self):
+        if not 0.0 <= self.reflection_angle_deg <= 90.0:
+            raise ValidationError(
+                f"reflection sample: angle {self.reflection_angle_deg} deg "
+                "is not in [0, 90]"
+            )
         if not math.isfinite(self.additional_loss_db):
             raise ValidationError("reflection sample: additional loss must be finite")
 
@@ -95,62 +101,72 @@ def eval_refl_model(model: ReflLossModel, phi_deg):
     return float(val) if np.isscalar(phi_deg) else val
 
 
-def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: float, phi_grid: np.ndarray):
-    """Best (rmse, phi, a, c) for one exponent over a phi_bar grid.
+def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: np.ndarray):
+    """Best (rmse, phi, a, c) for each exponent b[i] over its phi_bar grid row.
 
-    (a, c) come from the closed-form least squares at each grid point and
-    are clamped non-negative with a re-solve.  Ties within 1e-12 RMSE pick
-    the smallest phi_bar.
+    b has shape (m,) and grid (m, k); the result is a (4, m) array.  (a, c)
+    come from the closed-form least squares at each grid point and are
+    clamped non-negative with a re-solve.  Ties within 1e-12 RMSE pick the
+    smallest phi_bar (the first grid point).  Rows are evaluated in blocks
+    of about _BLOCK_ELEMS (row, grid point, sample) elements.
     """
-    x = np.abs(angles[None, :] - phi_grid[:, None]) ** b  # (n_phi, n)
+    m, k = grid.shape
     y = losses
     my = float(y.mean())
-    mx = x.mean(axis=-1)
-    mxx = (x * x).mean(axis=-1)
-    mxy = (x * y).mean(axis=-1)
-    var = mxx - mx * mx
-    cov = mxy - mx * my
+    out = np.empty((4, m))
+    rows = max(1, _BLOCK_ELEMS // (k * y.shape[0]))
+    for s in range(0, m, rows):
+        g = grid[s:s + rows]
+        x = np.abs(angles - g[..., None]) ** b[s:s + rows, None, None]  # (rows, k, n)
+        mx = x.mean(axis=-1)
+        mxx = (x * x).mean(axis=-1)
+        mxy = (x * y).mean(axis=-1)
+        var = mxx - mx * mx
+        cov = mxy - mx * my
 
-    a = np.where(var > 0, cov / np.where(var > 0, var, 1.0), 0.0)
-    c = my - a * mx
-    neg_a = a < 0
-    a = np.where(neg_a, 0.0, a)
-    c = np.where(neg_a, my, c)
-    neg_c = c < 0
-    a_zero_c = np.maximum(np.where(mxx > 0, mxy / np.where(mxx > 0, mxx, 1.0), 0.0), 0.0)
-    a = np.where(neg_c, a_zero_c, a)
-    c = np.where(neg_c, 0.0, c)
+        a = np.where(var > 0, cov / np.where(var > 0, var, 1.0), 0.0)
+        c = my - a * mx
+        neg_a = a < 0
+        a = np.where(neg_a, 0.0, a)
+        c = np.where(neg_a, my, c)
+        neg_c = c < 0
+        a_zero_c = np.maximum(np.where(mxx > 0, mxy / np.where(mxx > 0, mxx, 1.0), 0.0), 0.0)
+        a = np.where(neg_c, a_zero_c, a)
+        c = np.where(neg_c, 0.0, c)
 
-    resid = y[None, :] - a[:, None] * x - c[:, None]
-    rmse = np.sqrt((resid * resid).mean(axis=-1))
-    k = int(np.argwhere(rmse <= rmse.min() + _TIE_TOL)[0][0])
-    return float(rmse[k]), float(phi_grid[k]), float(a[k]), float(c[k])
+        resid = y - a[..., None] * x - c[..., None]
+        rmse = np.sqrt((resid * resid).mean(axis=-1))
+        j = np.argmax(rmse <= rmse.min(axis=-1, keepdims=True) + _TIE_TOL, axis=-1)
+        r = np.arange(j.shape[0])
+        out[:, s:s + rows] = rmse[r, j], g[r, j], a[r, j], c[r, j]
+    return out
 
 
-def _phi_conditional(angles: np.ndarray, losses: np.ndarray, b: float, lo: float, hi: float):
-    """Optimal phi_bar for a fixed exponent: coarse 0.01 deg grid over the
-    window, then local grid refinement down to ~1e-9 deg."""
+def _phi_conditional(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, lo: float, hi: float):
+    """Optimal phi_bar for each exponent in b: coarse 0.01 deg grid over the
+    window, then local grid refinement down to ~1e-9 deg.  Returns the
+    (4, len(b)) rows (rmse, phi, a, c)."""
     n_phi = max(1, int(round((hi - lo) / PHI_GRID_STEP_DEG)) + 1)
     grid = lo + PHI_GRID_STEP_DEG * np.arange(n_phi)
     grid = grid[grid <= hi + 1e-12]
-    best = _best_over_phi(angles, losses, b, grid)
+    best = _best_over_phi(angles, losses, b, np.broadcast_to(grid, (b.shape[0], grid.shape[0])))
     step = PHI_GRID_STEP_DEG
     for _ in range(REFINE_STAGES):
-        local = np.unique(np.clip(np.linspace(best[1] - step, best[1] + step, 21), lo, hi))
+        # sorted already; clipped duplicates tie and the first one wins
+        local = np.clip(np.linspace(best[1] - step, best[1] + step, 21, axis=-1), lo, hi)
         cand = _best_over_phi(angles, losses, b, local)
-        if cand[0] < best[0] - _TIE_TOL:
-            best = cand
+        best = np.where(cand[0] < best[0] - _TIE_TOL, cand, best)
         step /= 10.0
-    return best  # (rmse, phi, a, c)
+    return best
 
 
 def _search(angles: np.ndarray, losses: np.ndarray, b_values: np.ndarray, lo: float, hi: float, best=None):
     """Scan exponents ascending, re-optimizing phi_bar for each; ties keep
     the smaller b (scanned first)."""
-    for b in b_values:
-        rmse, phi, a, c = _phi_conditional(angles, losses, float(b), lo, hi)
-        if best is None or rmse < best[4] - _TIE_TOL:
-            best = (float(b), phi, a, c, rmse)
+    rmse, phi, a, c = _phi_conditional(angles, losses, b_values, lo, hi)
+    for i, b in enumerate(b_values):
+        if best is None or rmse[i] < best[4] - _TIE_TOL:
+            best = (float(b), float(phi[i]), float(a[i]), float(c[i]), float(rmse[i]))
     return best
 
 

@@ -285,9 +285,19 @@ class LossTable:
 def _as_loss(value) -> LossTable:
     if isinstance(value, LossTable):
         return value
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return LossTable.constant(float(value))
-    return LossTable(points=tuple((a, l) for a, l in value))
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)) for p in value
+    ):
+        return LossTable(points=tuple((a, l) for a, l in value))
+    raise SceneValidationError(
+        f"material_loss_db: expected a number or a list of [angle, loss] pairs, got {value!r}"
+    )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,18 @@ def test_synth_rejects_nonplanar_wall(tmp_path, capsys):
     assert "coplanarity" in err
 
 
+def test_synth_rejects_malformed_material_loss(tmp_path, capsys):
+    data = json.loads(Path(SCENES, "corridor_mini.json").read_text())
+    data["walls"][0]["material_loss_db"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["synth", "--scene", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "material_loss_db" in err
+
+
 def test_missing_scene_file_exits_2(tmp_path, capsys):
     rc = main(["synth", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -264,6 +276,20 @@ def test_fit_seeded_noise_is_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "145", "-5"])
+def test_fit_rejects_angle_outside_domain(tmp_path, capsys, angle):
+    samples = tmp_path / "s.csv"
+    rows = [f"{k},{5 + 10 * k},{10 + k}" for k in range(7)] + [f"7,{angle},20"]
+    samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "[0, 90]" in err
+    assert not out.exists()
+
+
 def test_fit_requires_exactly_one_source(tmp_path, capsys):
     rc = main(["fit", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
@@ -362,6 +388,21 @@ def test_coverage_missing_rx_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+
+
+def test_coverage_duplicate_rx_exits_2(tmp_path, capsys):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "r.csv"
+    rows = [f"{k},{100 + k}" for k in range(9)] + ["0,200"]
+    results.write_text("rx_id,pl_omni_db\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "c.csv"
+    rc = main(["coverage", "--scene", scene_file, "--results", str(results),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(results) in err and "rx_id 0" in err
+    assert not out.exists()
 
 
 def test_thread_cap_env(tmp_path, mini_scene_file, monkeypatch):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import reflfit_oracle
 
+import thznirs.reflfit as reflfit
 from thznirs.errors import (
     DegenerateFitError,
     ModelDomainError,
@@ -28,6 +30,8 @@ TABLE_ROWS = {
     ("hallway", "356-371GHz"): ReflLossModel(15.58, 2.60, 0.67, 4.01),
 }
 EIGHT_ANGLES = [5.0 + 10.0 * k for k in range(8)]
+TWENTY_FOUR_ANGLES = [3.0 + 3.0 * k for k in range(24)]
+DENSE_ANGLES = np.arange(5.0, 75.01, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,49 @@ def test_flat_samples_give_zero_slope():
     assert fit.model.b == 0.05  # smallest grid value, flagged unidentifiable
 
 
+def _fixed_loss_samples(losses):
+    return [ReflSample(k, a, l) for k, (a, l) in enumerate(zip(EIGHT_ANGLES, losses))]
+
+
+def _oracle_sets():
+    """Noiseless table rows, seeded noisy sets and clamp-hitting sets."""
+    sets = {}
+    for (scenario, band), gen in TABLE_ROWS.items():
+        for name, design in (("8", EIGHT_ANGLES), ("24", TWENTY_FOUR_ANGLES)):
+            sets[f"{scenario}-{band}-{name}"] = generate_samples(gen, design)
+    rows = list(TABLE_ROWS.values())
+    designs = (("8", EIGHT_ANGLES), ("24", TWENTY_FOUR_ANGLES), ("dense", DENSE_ANGLES))
+    for seed in range(200):
+        name, design = designs[seed % 3]
+        sets[f"noisy-{name}-seed{seed}"] = generate_samples(
+            rows[seed % 4], design, noise_sigma_db=0.5, rng=np.random.default_rng(seed)
+        )
+    sets["flat"] = _fixed_loss_samples([7.4] * 8)
+    sets["all-negative"] = _fixed_loss_samples([-1.0 - k for k in range(8)])
+    sets["falling"] = _fixed_loss_samples([20.0 - 2.0 * k for k in range(8)])
+    return sets
+
+
+ORACLE_SETS = _oracle_sets()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_fit_equals_scalar_search_oracle(name):
+    samples = ORACLE_SETS[name]
+    assert fit_refl_model(samples) == reflfit_oracle.fit_refl_model(samples)
+
+
+def test_fit_does_not_depend_on_block_size(monkeypatch):
+    names = ["corridor-306-321GHz-8", "noisy-24-seed1", "noisy-dense-seed2", "falling"]
+    for name in names:
+        samples = ORACLE_SETS[name]
+        default = fit_refl_model(samples)
+        for block in (1, 1 << 62):  # one row per block; every row in one block
+            monkeypatch.setattr(reflfit, "_BLOCK_ELEMS", block)
+            assert fit_refl_model(samples) == default, (name, block)
+        monkeypatch.undo()
+
+
 def test_fit_errors():
     gen = TABLE_ROWS[("corridor", "306-321GHz")]
     with pytest.raises(UnderdeterminedFitError):
@@ -202,6 +249,12 @@ def test_fit_errors():
     identical = [ReflSample(k, 10.0, 5.0 + k) for k in range(5)]
     with pytest.raises(DegenerateFitError, match="identical"):
         fit_refl_model(identical)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -0.5, 90.5, 145.0])
+def test_sample_angle_must_lie_in_domain(angle):
+    with pytest.raises(ValidationError, match=r"\[0, 90\]"):
+        ReflSample(rx_id=0, reflection_angle_deg=angle, additional_loss_db=1.0)
 
 
 def test_fit_uses_only_with_nirs_samples():

@@ -197,6 +197,15 @@ def test_scene_json_roundtrips_angle_dependent_loss(tmp_path):
     assert back.walls[1].material_loss == LossTable.constant(12.0)
 
 
+@pytest.mark.parametrize("value", [None, "12", True, [[0.0, None]], [[0.0]], [5.0], {"0": 1}])
+@pytest.mark.parametrize("owner", ["walls", "nirs_panels"])
+def test_scene_json_rejects_malformed_material_loss(owner, value):
+    data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
+    data[owner][0]["material_loss_db"] = value
+    with pytest.raises(SceneValidationError, match="material_loss_db"):
+        scene_from_dict(data)
+
+
 def test_scene_json_heights_fill_missing_z(tmp_path):
     data = scene_to_dict(hallway_scene(plan=PLAN_MINI_306))
     data["rx"]["positions"] = [[1.5, 4.5], [1.25, 4.5], [1.75, 4.5]]
