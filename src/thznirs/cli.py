@@ -180,15 +180,17 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
                 row.get("band") or band or "",
             )
             with_nirs = str(row.get("with_nirs", "true")).strip().lower() in ("1", "true", "yes")
-            groups.setdefault(key, []).append(
-                ReflSample(
+            try:
+                sample = ReflSample(
                     rx_id=int(row.get("rx_id", k)),
                     reflection_angle_deg=float(row[angle_col]),
                     additional_loss_db=float(row[loss_col]),
                     with_nirs=with_nirs,
                     band_label=key[1],
                 )
-            )
+            except (TypeError, ValueError) as exc:  # a short row reads as None
+                raise ValidationError(f"{path}: data row {k + 1}: {exc}") from None
+            groups.setdefault(key, []).append(sample)
     return groups
 
 

@@ -170,12 +170,31 @@ def _search(angles: np.ndarray, losses: np.ndarray, b_values: np.ndarray, lo: fl
     return best
 
 
+def _refined_search(angles: np.ndarray, losses: np.ndarray, lo: float, hi: float):
+    """Coarse b grid, then (if a > 0) nested b refinement around the best b.
+    Returns (b, phi, a, c, rmse)."""
+    n_b = int(round((B_GRID_STOP - B_GRID_START) / B_GRID_STEP)) + 1
+    b_grid = B_GRID_START + B_GRID_STEP * np.arange(n_b)
+    best = _search(angles, losses, b_grid, lo, hi)
+    if best[2] > 0:
+        step_b = B_GRID_STEP
+        for _ in range(REFINE_STAGES):
+            rb = np.unique(
+                np.clip(np.linspace(best[0] - step_b, best[0] + step_b, 21),
+                        B_GRID_START, B_GRID_STOP)
+            )
+            best = _search(angles, losses, rb, lo, hi, best=best)
+            step_b /= 10.0
+    return best
+
+
 def fit_refl_model(samples: Iterable[ReflSample]) -> FitResult:
     """Fit the polynomial law to the with-NIRS samples.
 
-    Needs at least 4 samples over at least 3 distinct angles.  Deterministic:
-    samples are sorted internally, grids are fixed, ties break toward the
-    smallest b then the smallest phi_bar.
+    Needs at least 4 samples over at least 3 distinct angles, with losses
+    small enough that the search's squares and products stay finite in
+    float64.  Deterministic: samples are sorted internally, grids are fixed,
+    ties break toward the smallest b then the smallest phi_bar.
     """
     kept = sorted(
         (s for s in samples if s.with_nirs),
@@ -199,22 +218,14 @@ def fit_refl_model(samples: Iterable[ReflSample]) -> FitResult:
     argmin_angle = float(angles[int(np.argmin(losses))])
     lo = max(float(uniq[0]), argmin_angle - gap)
     hi = min(float(uniq[-1]), argmin_angle + gap)
-    n_b = int(round((B_GRID_STOP - B_GRID_START) / B_GRID_STEP)) + 1
-    b_grid = B_GRID_START + B_GRID_STEP * np.arange(n_b)
-
-    best = _search(angles, losses, b_grid, lo, hi)
-    best_b, best_phi, best_a, best_c, best_rmse = best
-
-    if best_a > 0:
-        step_b = B_GRID_STEP
-        for _ in range(REFINE_STAGES):
-            rb = np.unique(
-                np.clip(np.linspace(best_b - step_b, best_b + step_b, 21),
-                        B_GRID_START, B_GRID_STOP)
-            )
-            best = _search(angles, losses, rb, lo, hi, best=best)
-            best_b, best_phi, best_a, best_c, best_rmse = best
-            step_b /= 10.0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            best_b, best_phi, best_a, best_c, best_rmse = _refined_search(angles, losses, lo, hi)
+    except FloatingPointError:
+        raise ValidationError(
+            f"fit: losses up to {float(np.max(np.abs(losses))):.3g} dB overflow "
+            "float64 in the least-squares search"
+        ) from None
 
     model = ReflLossModel(phi_bar_deg=best_phi, a=best_a, b=best_b, c=best_c)
     return FitResult(

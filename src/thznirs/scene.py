@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ DEFAULT_TX_HEIGHT = 2.0
 DEFAULT_RX_HEIGHT = 1.75
 
 _PLANARITY_TOL = 1e-9  # m, coplanarity residual bound
+_PARALLEL_EPS = 1e-15  # |direction . normal| below this: parallel to the plane
 
 
 def _vec3(value, what: str) -> np.ndarray:
@@ -375,13 +376,17 @@ class Rectangle:
         dist = float(np.dot(w, self._normal))
         return s, t, dist
 
+    def _margins(self, tol: float = 1e-9) -> tuple[float, float, float]:
+        """(plane-distance cut, s pad, t pad) that ``contains`` allows."""
+        lu, lv = np.linalg.norm(self._u), np.linalg.norm(self._v)
+        return max(tol, 1e-12 * max(lu, lv)), tol / lu, tol / lv
+
     def contains(self, point, tol: float = 1e-9) -> bool:
         s, t, dist = self.local_coords(point)
-        span = max(np.linalg.norm(self._u), np.linalg.norm(self._v))
-        if abs(dist) > max(tol, 1e-12 * span):
+        cut, pad_s, pad_t = self._margins(tol)
+        if abs(dist) > cut:
             return False
-        pad = tol / np.linalg.norm(self._u), tol / np.linalg.norm(self._v)
-        return -pad[0] <= s <= 1.0 + pad[0] and -pad[1] <= t <= 1.0 + pad[1]
+        return -pad_s <= s <= 1.0 + pad_s and -pad_t <= t <= 1.0 + pad_t
 
     def mirror(self, point) -> np.ndarray:
         """Mirror image of a point across the rectangle's plane."""
@@ -394,7 +399,7 @@ class Rectangle:
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         denom = float(np.dot(q - p, self._normal))
-        if abs(denom) < 1e-15:
+        if abs(denom) < _PARALLEL_EPS:
             return None
         t = float(np.dot(self._origin - p, self._normal)) / denom
         if 0.0 <= t <= 1.0:
@@ -414,20 +419,76 @@ class Rectangle:
             return t, point
         return None
 
-    def intersect_ray(self, origin, direction, min_range: float = 1e-9):
-        """First intersection of the ray origin + r*direction (r > min_range)."""
-        o = np.asarray(origin, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        denom = float(np.dot(d, self._normal))
-        if abs(denom) < 1e-15:
-            return None
-        r = float(np.dot(self._origin - o, self._normal)) / denom
-        if r <= min_range:
-            return None
-        point = o + r * d
-        if self.contains(point):
-            return r, point
-        return None
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3-vector dot products along the last axis, broadcast over the others.
+
+    Stacked ``matmul`` hands every pair to the same BLAS kernel as ``np.dot``,
+    so each product equals the scalar ``Rectangle`` methods' bit for bit;
+    ``(a * b).sum(-1)`` and ``einsum`` round differently.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+@dataclass(frozen=True)
+class RectangleStack:
+    """n rectangles as arrays, for batched mirror and crossing tests.
+
+    Vectors are (n, 3) and scalars (n,); they broadcast against leading
+    axes of the query points.  Each operation repeats the arithmetic of
+    ``Rectangle.mirror``, ``segment_plane_parameter`` and ``contains`` step
+    for step, so the results equal the scalar methods' bit for bit.
+    """
+
+    origin: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    normal: np.ndarray
+    uu: np.ndarray  # u . u and v . v, the local_coords divisors
+    vv: np.ndarray
+    cut: np.ndarray  # the margins of Rectangle.contains
+    pad_s: np.ndarray
+    pad_t: np.ndarray
+
+    @classmethod
+    def of(cls, rects: Sequence[Rectangle]) -> "RectangleStack":
+        def stack(name):
+            return np.array([getattr(r, name) for r in rects], dtype=float).reshape(-1, 3)
+
+        u, v = stack("u"), stack("v")
+        cut, pad_s, pad_t = np.array([r._margins() for r in rects], dtype=float).reshape(-1, 3).T
+        return cls(stack("origin"), u, v, stack("normal"), _dot(u, u), _dot(v, v), cut, pad_s, pad_t)
+
+    def take(self, index) -> "RectangleStack":
+        """The rectangles at ``index``, e.g. one per query row."""
+        return RectangleStack(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def mirror(self, points: np.ndarray) -> np.ndarray:
+        """Mirror images of ``points`` across the planes."""
+        d = _dot(points - self.origin, self.normal)
+        return points - (2.0 * d)[..., None] * self.normal
+
+    def cross(self, p: np.ndarray, d: np.ndarray):
+        """Where the lines p + t d meet the rectangles: (t, point, hit).
+
+        ``hit`` is False where the line is parallel to the plane or the
+        crossing lies outside the rectangle; ``t`` and ``point`` are finite
+        but meaningless there.  Callers bound ``t`` themselves.
+        """
+        denom = _dot(d, self.normal)
+        parallel = np.abs(denom) < _PARALLEL_EPS
+        t = _dot(self.origin - p, self.normal) / np.where(parallel, 1.0, denom)
+        point = p + t[..., None] * d
+        w = point - self.origin
+        s = _dot(w, self.u) / self.uu
+        r = _dot(w, self.v) / self.vv
+        hit = (
+            ~parallel
+            & (np.abs(_dot(w, self.normal)) <= self.cut)
+            & (-self.pad_s <= s) & (s <= 1.0 + self.pad_s)
+            & (-self.pad_t <= r) & (r <= 1.0 + self.pad_t)
+        )
+        return t, point, hit
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +639,8 @@ def nirs_angle_set(
     Returns (elevation_index, azimuth_index) pairs.  A scene without panels
     yields the empty set and a NoNirsPanelWarning rather than an error.
     Occlusion by walls is not considered; this is the pure view geometry.
+    All directions meet all cells in one batched ray test; a ray counts from
+    1e-9 m past the Rx.
     """
     grid = grid or scene.scan_grid
     rx = scene.rx_position(rx_index)
@@ -585,13 +648,9 @@ def nirs_angle_set(
     if not rects:
         warnings.warn("scene has no NIRS panel; angle set is empty", NoNirsPanelWarning)
         return frozenset()
-    hits = set()
-    for i in range(grid.n_elevation):
-        for j in range(grid.n_azimuth):
-            d = grid.direction(i, j)
-            if any(rect.intersect_ray(rx, d) is not None for rect in rects):
-                hits.add((i, j))
-    return frozenset(hits)
+    r, _, hit = RectangleStack.of(rects).cross(rx, grid.direction_vectors()[..., None, :])
+    el, az = np.nonzero((hit & (r > 1e-9)).any(axis=-1))
+    return frozenset(zip(el.tolist(), az.tolist()))
 
 
 def _azimuth_angle_to_normal(direction: np.ndarray, normal: np.ndarray) -> float:

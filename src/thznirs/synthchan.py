@@ -1,15 +1,14 @@
 """Image-method synthetic channel generator.
 
 Enumerates specular propagation paths (up to 3 bounces) in a scene of
-opaque rectangular surfaces, then synthesizes per-direction frequency
-sweeps on the measurement scan grid.  Doubles as the brute-force oracle
-the rest of the pipeline is verified against.
+opaque rectangular surfaces with a breadth-first image tree, then
+synthesizes per-direction frequency sweeps on the measurement scan grid.
+Doubles as the oracle the rest of the pipeline is verified against.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .scene import (
     AntennaPattern,
     FrequencyPlan,
     FrequencySweep,
+    RectangleStack,
     ScanGrid,
     Scene,
     Surface,
@@ -98,16 +98,14 @@ class SweepBundle:
 # ---------------------------------------------------------------------------
 # Path enumeration
 # ---------------------------------------------------------------------------
-def _segment_blocked(p, q, surfaces: list[Surface]) -> bool:
-    """True if any surface crosses the open segment p->q.
+def _segment_hits(rects: RectangleStack, p: np.ndarray, q: np.ndarray):
+    """(point, hit) of the open segments p->q with the rectangles, broadcast.
 
     Crossings at the endpoints themselves (the reflecting surfaces) land at
     parameter 0 or 1 and are excluded by the epsilon margin.
     """
-    for s in surfaces:
-        if s.rectangle.intersect_segment(p, q, lo=_SEG_EPS, hi=1.0 - _SEG_EPS):
-            return True
-    return False
+    t, point, hit = rects.cross(p, q - p)
+    return point, hit & (_SEG_EPS <= t) & (t <= 1.0 - _SEG_EPS)
 
 
 def _incidence_deg(direction: np.ndarray, normal: np.ndarray) -> float:
@@ -143,48 +141,52 @@ def enumerate_paths(scene: Scene, rx_index: int, max_bounces: int = 2) -> list[P
     Surfaces are opaque: a path dies if any intermediate surface crosses one
     of its segments.  The direct path is included iff the Tx-Rx line is clear.
     Output order is deterministic: by bounce count, then length, then ids.
+
+    The image tree is built breadth-first: order k+1 mirrors the order-k
+    images through every surface but the one they were last mirrored in.
+    Each order's reflection points are then backtracked from the Rx and
+    occlusion-tested as array operations over all its sequences at once.
     """
     if not (0 <= max_bounces <= 3):
         raise ValidationError("enumerate_paths: max_bounces must lie in [0, 3]")
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     surfaces = scene.surfaces()
+    rects = RectangleStack.of([s.rectangle for s in surfaces])
     paths: list[PropagationPath] = []
 
-    if not _segment_blocked(tx, rx, surfaces):
+    if not _segment_hits(rects, tx, rx)[1].any():
         paths.append(_build_path(tx, rx, []))
 
     n = len(surfaces)
+    seqs = np.zeros((1, 0), dtype=np.intp)  # (m, order) surface indices, bounce order
+    images = tx[None, None, :]  # (m, order + 1, 3): Tx, then its image after each bounce
     for order in range(1, max_bounces + 1):
-        for seq in itertools.product(range(n), repeat=order):
-            if any(a == b for a, b in zip(seq, seq[1:])):
-                continue
-            chain = [surfaces[k] for k in seq]
-            # Mirror Tx through the surface planes in bounce order.
-            images = []
-            img = tx
-            for s in chain:
-                img = s.rectangle.mirror(img)
-                images.append(img)
-            # Backtrack reflection points from the Rx end.
-            hits: list[tuple[Surface, np.ndarray]] = []
-            target = rx
-            ok = True
-            for s, img in zip(reversed(chain), reversed(images)):
-                found = s.rectangle.intersect_segment(img, target, lo=_SEG_EPS, hi=1.0 - _SEG_EPS)
-                if found is None:
-                    ok = False
-                    break
-                target = found[1]
-                hits.append((s, target))
-            if not ok:
-                continue
-            hits.reverse()
-            waypoints = [tx] + [p for _, p in hits] + [rx]
-            if any(
-                _segment_blocked(a, b, surfaces) for a, b in zip(waypoints, waypoints[1:])
-            ):
-                continue
+        parent, child = np.divmod(np.arange(seqs.shape[0] * n), n)
+        if order > 1:
+            keep = child != seqs[parent, -1]
+            parent, child = parent[keep], child[keep]
+        mirrored = rects.take(child).mirror(images[parent, -1])
+        seqs = np.concatenate([seqs[parent], child[:, None]], axis=1)
+        images = np.concatenate([images[parent], mirrored[:, None]], axis=1)
+
+        # Backtrack the reflection points from the Rx end.
+        rows = np.arange(seqs.shape[0])
+        points = np.empty((rows.shape[0], order, 3))
+        target = np.broadcast_to(rx, (rows.shape[0], 3))
+        for i in range(order - 1, -1, -1):
+            point, hit = _segment_hits(rects.take(seqs[rows, i]), images[rows, i + 1], target)
+            rows, target = rows[hit], point[hit]
+            points[rows, i] = target
+
+        # Occlusion: every segment of every surviving path against every surface.
+        m = rows.shape[0]
+        waypoints = np.concatenate(
+            [np.broadcast_to(tx, (m, 1, 3)), points[rows], np.broadcast_to(rx, (m, 1, 3))], axis=1
+        )[:, :, None, :]
+        blocked = _segment_hits(rects, waypoints[:, :-1], waypoints[:, 1:])[1].any(axis=(1, 2))
+        for r in rows[~blocked]:
+            hits = [(surfaces[k], points[r, i]) for i, k in enumerate(seqs[r])]
             paths.append(_build_path(tx, rx, hits))
 
     paths.sort(key=lambda p: (p.bounce_count, p.total_length_m, p.surfaces_hit))

@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thznirs.scene import FrequencyPlan, FrequencySweep, ScanGrid
+from thznirs.scene import (
+    FrequencyPlan,
+    FrequencySweep,
+    LossTable,
+    NirsPanel,
+    Rectangle,
+    ScanGrid,
+    Scene,
+    Wall,
+)
 from thznirs.synthchan import direction_filename, read_bundle, write_sweep_csv
 
 
@@ -92,3 +101,73 @@ SPOILED_BUNDLES = {
     "wrong_shape": lambda d: _rewrite_sweeps(d, lambda a: a[:, :1]),
     "unknown_format": _unknown_format,
 }
+
+
+def _box_faces(length: float, width: float, height: float) -> list[np.ndarray]:
+    """Floor, ceiling and the four side walls of [0, L] x [0, W] x [0, H]."""
+    x, y, z = length, width, height
+    return [np.array(c, dtype=float) for c in (
+        [[0, 0, 0], [x, 0, 0], [x, y, 0], [0, y, 0]],
+        [[0, 0, z], [x, 0, z], [x, y, z], [0, y, z]],
+        [[0, 0, 0], [x, 0, 0], [x, 0, z], [0, 0, z]],
+        [[0, y, 0], [x, y, 0], [x, y, z], [0, y, z]],
+        [[0, 0, 0], [0, y, 0], [0, y, z], [0, 0, z]],
+        [[x, 0, 0], [x, y, 0], [x, y, z], [x, 0, z]],
+    )]
+
+
+def random_box_scenes(seed: int = 2024, count: int = 10) -> dict[str, Scene]:
+    """Seeded rooms off the shipped geometry, for the image-method oracle tests.
+
+    Each is a box of 6 walls, a free-standing blocker and a 3x3 reflector
+    panel 5 cm in front of one side wall, with Tx and two Rx inside.  Every
+    second one is turned by a random rotation, so that no plane is
+    axis-aligned.  Two edge cases close the set: a scene without any
+    surface, and one with the Tx on a wall and an Rx on another wall's plane.
+    """
+    rng = np.random.default_rng(seed)
+    angled = LossTable(((0.0, 4.0), (45.0, 7.0), (90.0, 15.0)))
+    scenes = {}
+
+    def box(length, width, height, tx, rx, rotation=None, shift=np.zeros(3)):
+        def place(points):
+            points = np.asarray(points, dtype=float)
+            return points if rotation is None else points @ rotation.T + shift
+
+        rects = [Rectangle(place(c)) for c in _box_faces(length, width, height)]
+        blocker = Rectangle.from_center(
+            [rng.uniform(0.3, 0.7) * length, rng.uniform(0.2, 0.5) * width, 0.6],
+            [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], rng.uniform(0.3, 1.0) * width / 2, 1.2,
+        )
+        panel = Rectangle.from_center(
+            [rng.uniform(0.3, 0.7) * length, width - 0.05, rng.uniform(1.0, height - 1.0)],
+            [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5),
+        )
+        walls = [Wall(r, angled if k % 2 else LossTable.constant(6.0 + k))
+                 for k, r in enumerate(rects + [Rectangle(place(blocker.corners))])]
+        return Scene(
+            walls=tuple(walls),
+            nirs_panels=(NirsPanel(Rectangle(place(panel.corners)), LossTable.constant(1.0)),),
+            tx_position=place(tx),
+            tx_boresight=np.array([1.0, 0.0, 0.0]),
+            rx_positions=place(rx),
+        )
+
+    for k in range(count):
+        size = np.array([rng.uniform(4.0, 12.0), rng.uniform(3.0, 8.0), rng.uniform(2.5, 4.0)])
+        inside = lambda n: rng.uniform(0.1, 0.9, size=(n, 3)) * size
+        rotation = None
+        if k % 2:
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            rotation = q * np.sign(np.diag(r))
+            rotation[:, 0] *= np.linalg.det(rotation)
+        name = f"{'tilted' if k % 2 else 'box'}{k}"
+        scenes[name] = box(*size, inside(1)[0], inside(2), rotation, rng.normal(size=3))
+    scenes["empty"] = Scene(
+        walls=(), nirs_panels=(),
+        tx_position=np.array([0.0, 0.0, 2.0]),
+        tx_boresight=np.array([1.0, 0.0, 0.0]),
+        rx_positions=np.array([[5.0, 1.0, 1.75]]),
+    )
+    scenes["on_wall"] = box(8.0, 5.0, 3.0, [0.0, 2.0, 2.0], [[4.0, 0.0, 1.5], [6.0, 3.0, 1.75]])
+    return scenes

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,22 @@ def test_synth_full_corridor_has_180_directions(tmp_path):
     assert rc == 0
     sweeps = np.load(out / "rx000" / "sweeps.npy", allow_pickle=False)
     assert sweeps.shape == (5, 36, 101)
+
+
+def test_synth_three_bounces_leaks_no_numpy_warning(tmp_path):
+    # the batched image tree divides by plane parameters of parallel and
+    # degenerate crossings; none of that may surface as a RuntimeWarning
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "thznirs", "synth",
+         "--scene", f"{SCENES}/hallway_mini.json", "--out", str(tmp_path / "b"),
+         "--max-bounces", "3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(list((tmp_path / "b").iterdir())) == 12
 
 
 def test_synth_flags_panel_free_scene(tmp_path):
@@ -288,6 +306,53 @@ def test_fit_rejects_angle_outside_domain(tmp_path, capsys, angle):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "[0, 90]" in err
     assert not out.exists()
+
+
+def test_fit_overflowing_losses_exit_2(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    rows = [f"{k},{5 + 10 * k},{(k + 1) * 1e200!r}" for k in range(8)]
+    samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflow" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        ("rx_id", "x", "invalid literal for int()"),
+        ("rx_id", "2.5", "invalid literal for int()"),
+        ("reflection_angle_deg", "abc", "could not convert"),
+        ("reflection_angle_deg", "145", "[0, 90]"),
+        ("l_ref_db", "", "could not convert"),
+        ("l_ref_db", "inf", "must be finite"),
+    ],
+)
+def test_fit_bad_sample_row_names_file_and_row(tmp_path, capsys, column, value, reason):
+    header = ["rx_id", "reflection_angle_deg", "l_ref_db"]
+    rows = [[str(k), str(5 + 10 * k), str(10 + k)] for k in range(7)]
+    rows[4][header.index(column)] = value
+    samples = tmp_path / "s.csv"
+    samples.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {samples}: data row 5: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_fit_short_sample_row_names_file_and_row(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n0,5,10\n1,15\n")
+    rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {samples}: data row 2: ")
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

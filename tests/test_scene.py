@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import synthchan_oracle as oracle
+from conftest import random_box_scenes
 
 from thznirs.errors import (
     NoNirsPanelWarning,
@@ -17,6 +20,7 @@ from thznirs.scene import (
     LossTable,
     NirsPanel,
     Rectangle,
+    RectangleStack,
     ScanGrid,
     Scene,
     frequency_grid,
@@ -259,6 +263,48 @@ def test_angle_set_frontal_panel_matches_tangent_oracle():
     assert azimuths == expected
     # every elevation row participates at these distances
     assert {i for i, _ in found} == set(range(scene.scan_grid.n_elevation))
+
+
+PANEL_SCENES = {
+    **{p.stem: load_scene(p)
+       for p in sorted(Path(__file__).resolve().parent.parent.glob("scenes/*.json"))
+       if "no_nirs" not in p.stem},
+    **{name: s for name, s in random_box_scenes().items() if s.nirs_panels},
+}
+CELL_VARIANTS = {"all": None, "one": [(1, 1)], "corners": [(0, 0), (0, 2), (2, 0), (2, 2)]}
+
+
+@pytest.mark.parametrize("cells", sorted(CELL_VARIANTS))
+@pytest.mark.parametrize("name", sorted(PANEL_SCENES))
+def test_angle_set_equals_ray_loop(name, cells):
+    scene = PANEL_SCENES[name].with_panel_cells(CELL_VARIANTS[cells])
+    for k in range(scene.n_rx):
+        assert nirs_angle_set(scene, k) == oracle.nirs_angle_set(scene, k), k
+
+
+def test_rectangle_stack_equals_scalar_methods(rng):
+    # random planes, including segments parallel to them and ending on them
+    rects = [
+        Rectangle.from_center(rng.normal(size=3), u, np.cross(u, rng.normal(size=3)), 2.0, 1.5)
+        for u in rng.normal(size=(6, 3))
+    ]
+    stack = RectangleStack.of(rects)
+    p = rng.normal(size=(200, 3)) * 2.0
+    q = rng.normal(size=(200, 3)) * 2.0
+    q[:20] = p[:20] + np.cross(rects[0].normal, rng.normal(size=(20, 3)))
+    q[20:40] = rects[1].center
+    assert stack.mirror(p[:, None, :]).tobytes() == np.array(
+        [[r.mirror(x) for r in rects] for x in p]
+    ).tobytes()
+    t, point, hit = stack.cross(p[:, None, :], (q - p)[:, None, :])
+    hit &= (0.0 <= t) & (t <= 1.0)
+    for i in range(p.shape[0]):
+        for j, r in enumerate(rects):
+            found = r.intersect_segment(p[i], q[i])
+            assert hit[i, j] == (found is not None), (i, j)
+            if found is not None:
+                assert (t[i, j], point[i, j].tobytes()) == (found[0], found[1].tobytes())
+    assert hit.any() and not hit[:20, 0].any()
 
 
 def test_angle_set_monotone_in_panel_area(rng):

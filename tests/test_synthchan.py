@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SPOILED_BUNDLES, write_csv_bundle
+import synthchan_oracle as oracle
+from conftest import SPOILED_BUNDLES, random_box_scenes, write_csv_bundle
 
 from thznirs import synthchan
 from thznirs.errors import AliasingError, BundleFormatError, ValidationError
@@ -18,6 +20,7 @@ from thznirs.scene import (
     Scene,
     Wall,
     frequency_grid,
+    load_scene,
 )
 from thznirs.synthchan import (
     PropagationPath,
@@ -131,6 +134,45 @@ def test_reciprocity_of_path_lengths():
         sorted(p.total_length_m for p in backward),
         atol=1e-9,
     )
+
+
+SHIPPED_SCENES = sorted(Path(__file__).resolve().parent.parent.glob("scenes/*.json"))
+RANDOM_SCENES = random_box_scenes()
+
+
+def _assert_paths_equal_brute_force(scene):
+    """Path lists ``==`` the brute force for every rx and max_bounces 0..3.
+
+    The brute force enumerates each order on its own and sorts by bounce
+    count first, so its list for fewer bounces is the head of its 3-bounce
+    list; one oracle run per receiver covers all four bounds.
+    """
+    for k in range(scene.n_rx):
+        expected = [oracle.path_record(p) for p in oracle.enumerate_paths(scene, k, 3)]
+        for mb in range(4):
+            got = [oracle.path_record(p) for p in enumerate_paths(scene, k, max_bounces=mb)]
+            assert got == [r for r in expected if r[1] <= mb], (k, mb)
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENES, ids=lambda p: p.stem)
+def test_paths_equal_brute_force_on_shipped_scenes(path):
+    _assert_paths_equal_brute_force(load_scene(path))
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_SCENES))
+def test_paths_equal_brute_force_on_random_boxes(name):
+    _assert_paths_equal_brute_force(RANDOM_SCENES[name])
+
+
+def test_random_boxes_reach_every_bounce_order():
+    # guards the oracle comparison above against passing on empty lists
+    for name, scene in RANDOM_SCENES.items():
+        orders = {
+            p.bounce_count
+            for k in range(scene.n_rx)
+            for p in enumerate_paths(scene, k, max_bounces=3)
+        }
+        assert orders == ({0} if name == "empty" else {0, 1, 2, 3}), name
 
 
 # ---------------------------------------------------------------------------
