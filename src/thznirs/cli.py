@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +62,25 @@ def _worker_count() -> int:
 
 def _parse_range(spec: str) -> np.ndarray:
     """'start:step:stop' (stop included within 1e-9 steps) or a comma list."""
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return np.array([float(x) for x in spec.split(",")])
         start, step, stop = (float(x) for x in spec.split(":"))
         if step <= 0:
-            raise ValidationError(f"range '{spec}': step must be positive")
+            raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9) + 1
         return start + step * np.arange(n)
-    return np.array([float(x) for x in spec.split(",")])
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"range '{spec}': {exc}") from None
+
+
+@contextmanager
+def _data_row(path: str, k: int):
+    """Report a bad value in CSV data row ``k`` (0-based) naming the file and row."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:  # a short row reads as None
+        raise ValidationError(f"{path}: data row {k + 1}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,7 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
                 row.get("band") or band or "",
             )
             with_nirs = str(row.get("with_nirs", "true")).strip().lower() in ("1", "true", "yes")
-            try:
+            with _data_row(path, k):
                 sample = ReflSample(
                     rx_id=int(row.get("rx_id", k)),
                     reflection_angle_deg=float(row[angle_col]),
@@ -188,8 +201,6 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
                     with_nirs=with_nirs,
                     band_label=key[1],
                 )
-            except (TypeError, ValueError) as exc:  # a short row reads as None
-                raise ValidationError(f"{path}: data row {k + 1}: {exc}") from None
             groups.setdefault(key, []).append(sample)
     return groups
 
@@ -235,11 +246,14 @@ def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
         if "rx_id" not in fields or "pl_omni_db" not in fields:
             raise ValidationError(f"{path}: needs columns rx_id and pl_omni_db")
         values: dict[int, float] = {}
-        for row in reader:
-            k = int(row["rx_id"])
+        for n, row in enumerate(reader):
+            with _data_row(path, n):
+                k, value = int(row["rx_id"]), float(row["pl_omni_db"])
+                if not math.isfinite(value):
+                    raise ValueError(f"pl_omni_db must be finite, got {value}")
             if k in values:
                 raise ValidationError(f"{path}: rx_id {k} is listed twice")
-            values[k] = float(row["pl_omni_db"])
+            values[k] = value
     missing = [k for k in range(n_rx) if k not in values]
     if missing:
         raise ValidationError(f"{path}: missing pl_omni_db for rx ids {missing}")
@@ -341,7 +355,7 @@ def main(argv=None) -> int:
     except ThzNirsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidThresholdError, ValidationError
 from .fileio import atomic_write
-from .scene import ScanGrid
+from .scene import ScanGrid, grid_to_json
 
 SENTINEL_DB = -300.0
 DEFAULT_NOISE_THRESHOLD_DB = -160.0
@@ -128,10 +128,7 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
     sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".json")
     meta = {
-        "scan_grid": {
-            "azimuth_deg": list(pdap.grid.azimuth_deg),
-            "elevation_deg": list(pdap.grid.elevation_deg),
-        },
+        "scan_grid": grid_to_json(pdap.grid),
         "noise_threshold_db": pdap.noise_threshold_db,
         "sentinel_db": SENTINEL_DB,
         "delay_step_s": pdap.delay_step_s,

@@ -68,10 +68,6 @@ def _vertical_wall(p0_xy, p1_xy, z0: float, z1: float) -> Rectangle:
     )
 
 
-def _rotate_rect(rect: Rectangle, rot: np.ndarray) -> Rectangle:
-    return Rectangle(corners=rect.corners @ rot.T)
-
-
 def _l_scene(
     width: float,
     tx_leg_end: float,
@@ -87,7 +83,15 @@ def _l_scene(
     rot_deg: float,
     wall_height: float = 3.0,
 ) -> Scene:
-    """Chamfered L: Tx leg along +x (y in [0, width]), Rx leg along +y."""
+    """Chamfered L: Tx leg along +x (y in [0, width]), Rx leg along +y.
+
+    The whole layout is then turned by ``rot_deg`` about the z axis.
+    """
+    rot = _rotz(rot_deg) if rot_deg != 0.0 else None
+
+    def place(rect: Rectangle) -> Rectangle:
+        return rect if rot is None else Rectangle(corners=rect.corners @ rot.T)
+
     w = width
     walls_xy = [
         # Rx leg
@@ -103,7 +107,7 @@ def _l_scene(
     ]
     walls = tuple(
         Wall(
-            rectangle=_vertical_wall(p0, p1, 0.0, wall_height),
+            rectangle=place(_vertical_wall(p0, p1, 0.0, wall_height)),
             material_loss=LossTable.constant(wall_loss_db),
         )
         for p0, p1 in walls_xy
@@ -117,43 +121,24 @@ def _l_scene(
         rect = Rectangle.from_center(center, along, np.array([0.0, 0.0, 1.0]), 1.2, 1.0)
         panels = (
             NirsPanel(
-                rectangle=rect,
+                rectangle=place(rect),
                 material_loss=LossTable.constant(panel_loss_db),
                 subdivision=(3, 3),
                 active_cells=None if panel_active == "all" else frozenset(panel_active),
             ),
         )
 
-    scene = Scene(
+    tx = np.array([tx_xy[0], tx_xy[1], 2.0])
+    boresight = np.array([-1.0, 0.0, 0.0])
+    rx = np.array([[x, y, 1.75] for x, y in rx_xy_list])
+    if rot is not None:
+        tx, boresight, rx = rot @ tx, rot @ boresight, rx @ rot.T
+    return Scene(
         walls=walls,
         nirs_panels=panels,
-        tx_position=np.array([tx_xy[0], tx_xy[1], 2.0]),
-        tx_boresight=np.array([-1.0, 0.0, 0.0]),
-        rx_positions=np.array([[x, y, 1.75] for x, y in rx_xy_list]),
-        frequency_plan=plan,
-        scan_grid=grid,
-    )
-    if rot_deg == 0.0:
-        return scene
-    rot = _rotz(rot_deg)
-    return Scene(
-        walls=tuple(
-            Wall(_rotate_rect(wl.rectangle, rot), wl.material_loss) for wl in scene.walls
-        ),
-        nirs_panels=tuple(
-            NirsPanel(
-                _rotate_rect(p.rectangle, rot),
-                p.material_loss,
-                p.subdivision,
-                p.active_cells,
-            )
-            for p in scene.nirs_panels
-        ),
-        tx_position=rot @ scene.tx_position,
-        tx_boresight=rot @ scene.tx_boresight,
-        rx_positions=scene.rx_positions @ rot.T,
-        tx_pattern=scene.tx_pattern,
-        rx_pattern=scene.rx_pattern,
+        tx_position=tx,
+        tx_boresight=boresight,
+        rx_positions=rx,
         frequency_plan=plan,
         scan_grid=grid,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     NoNirsPanelWarning,
     NoSpecularGeometryError,
     SceneValidationError,
+    ThzNirsError,
     ValidationError,
 )
 
@@ -180,9 +182,6 @@ class ScanGrid:
     def n_elevation(self) -> int:
         return len(self.elevation_deg)
 
-    def direction(self, el_index: int, az_index: int) -> np.ndarray:
-        return direction_vector(self.elevation_deg[el_index], self.azimuth_deg[az_index])
-
     def direction_vectors(self) -> np.ndarray:
         """All scan directions, shape (n_elevation, n_azimuth, 3)."""
         el = np.deg2rad(np.asarray(self.elevation_deg))[:, None]
@@ -197,14 +196,6 @@ class ScanGrid:
         )
         out.setflags(write=False)
         return out
-
-
-def direction_vector(el_deg: float, az_deg: float) -> np.ndarray:
-    el = math.radians(el_deg)
-    az = math.radians(az_deg)
-    return np.array(
-        [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,11 @@ def _is_number(value) -> bool:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Rectangle:
-    """Planar rectangle given by 4 corners in perimeter order."""
+    """Planar rectangle given by 4 corners in perimeter order.
+
+    ``origin`` is corner 0, ``u`` and ``v`` the edges from it to corners 1
+    and 3, and ``normal`` the unit normal; all are read-only arrays.
+    """
 
     corners: np.ndarray  # (4, 3)
 
@@ -335,10 +330,10 @@ class Rectangle:
             raise SceneValidationError("rectangle: adjacent edges are not perpendicular")
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
-        object.__setattr__(self, "_origin", _readonly(c[0]))
-        object.__setattr__(self, "_u", _readonly(u))
-        object.__setattr__(self, "_v", _readonly(v))
-        object.__setattr__(self, "_normal", _readonly(n))
+        object.__setattr__(self, "origin", _readonly(c[0]))
+        object.__setattr__(self, "u", _readonly(u))
+        object.__setattr__(self, "v", _readonly(v))
+        object.__setattr__(self, "normal", _readonly(n))
 
     @classmethod
     def from_center(cls, center, u_dir, v_dir, width: float, height: float) -> "Rectangle":
@@ -349,82 +344,20 @@ class Rectangle:
         return cls(corners=np.array([center - u - v, center + u - v, center + u + v, center - u + v]))
 
     @property
-    def origin(self) -> np.ndarray:
-        return self._origin
-
-    @property
-    def u(self) -> np.ndarray:
-        return self._u
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self._normal
-
-    @property
     def center(self) -> np.ndarray:
-        return self._origin + 0.5 * self._u + 0.5 * self._v
-
-    def local_coords(self, point) -> tuple[float, float, float]:
-        """(s, t, plane distance): point = origin + s u + t v + dist * normal."""
-        w = np.asarray(point, dtype=float) - self._origin
-        s = float(np.dot(w, self._u) / np.dot(self._u, self._u))
-        t = float(np.dot(w, self._v) / np.dot(self._v, self._v))
-        dist = float(np.dot(w, self._normal))
-        return s, t, dist
+        return self.origin + 0.5 * self.u + 0.5 * self.v
 
     def _margins(self, tol: float = 1e-9) -> tuple[float, float, float]:
-        """(plane-distance cut, s pad, t pad) that ``contains`` allows."""
-        lu, lv = np.linalg.norm(self._u), np.linalg.norm(self._v)
+        """(plane-distance cut, s pad, t pad) a point may stray and still lie on it."""
+        lu, lv = np.linalg.norm(self.u), np.linalg.norm(self.v)
         return max(tol, 1e-12 * max(lu, lv)), tol / lu, tol / lv
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        s, t, dist = self.local_coords(point)
-        cut, pad_s, pad_t = self._margins(tol)
-        if abs(dist) > cut:
-            return False
-        return -pad_s <= s <= 1.0 + pad_s and -pad_t <= t <= 1.0 + pad_t
-
-    def mirror(self, point) -> np.ndarray:
-        """Mirror image of a point across the rectangle's plane."""
-        p = np.asarray(point, dtype=float)
-        d = float(np.dot(p - self._origin, self._normal))
-        return p - 2.0 * d * self._normal
-
-    def segment_plane_parameter(self, p, q) -> float | None:
-        """Parameter t in [0,1] where segment p->q crosses the plane, else None."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        denom = float(np.dot(q - p, self._normal))
-        if abs(denom) < _PARALLEL_EPS:
-            return None
-        t = float(np.dot(self._origin - p, self._normal)) / denom
-        if 0.0 <= t <= 1.0:
-            return t
-        return None
-
-    def intersect_segment(self, p, q, lo: float = 0.0, hi: float = 1.0):
-        """Intersection point of segment p->q with the rectangle, or None.
-
-        Only crossings with parameter in [lo, hi] count.
-        """
-        t = self.segment_plane_parameter(p, q)
-        if t is None or not (lo <= t <= hi):
-            return None
-        point = np.asarray(p, dtype=float) + t * (np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
-        if self.contains(point):
-            return t, point
-        return None
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3-vector dot products along the last axis, broadcast over the others.
 
     Stacked ``matmul`` hands every pair to the same BLAS kernel as ``np.dot``,
-    so each product equals the scalar ``Rectangle`` methods' bit for bit;
+    so each product equals a scalar ``np.dot`` bit for bit;
     ``(a * b).sum(-1)`` and ``einsum`` round differently.
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -432,21 +365,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RectangleStack:
-    """n rectangles as arrays, for batched mirror and crossing tests.
+    """n rectangles as arrays: the one mirror and ray-crossing kernel.
 
     Vectors are (n, 3) and scalars (n,); they broadcast against leading
-    axes of the query points.  Each operation repeats the arithmetic of
-    ``Rectangle.mirror``, ``segment_plane_parameter`` and ``contains`` step
-    for step, so the results equal the scalar methods' bit for bit.
+    axes of the query points.  Each operation repeats the arithmetic of the
+    scalar reference in ``tests/synthchan_oracle.py`` step for step, so the
+    results equal it bit for bit.
     """
 
     origin: np.ndarray
     u: np.ndarray
     v: np.ndarray
     normal: np.ndarray
-    uu: np.ndarray  # u . u and v . v, the local_coords divisors
+    uu: np.ndarray  # u . u and v . v, the in-plane coordinate divisors
     vv: np.ndarray
-    cut: np.ndarray  # the margins of Rectangle.contains
+    cut: np.ndarray  # Rectangle._margins
     pad_s: np.ndarray
     pad_t: np.ndarray
 
@@ -616,10 +549,6 @@ class Scene:
                 out.append(Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss))
         return out
 
-    # Convenience variants used by paired with/without comparisons.
-    def without_panels(self) -> "Scene":
-        return replace(self, nirs_panels=())
-
     def with_panel_cells(self, active: Iterable[tuple[int, int]] | None, panel_index: int = 0) -> "Scene":
         """Same scene with panel ``panel_index`` restricted to the given cells."""
         panels = list(self.nirs_panels)
@@ -676,22 +605,21 @@ def specular_point(scene: Scene, rx_index: int, panel_index: int = 0) -> np.ndar
     """
     if not scene.nirs_panels:
         raise SceneValidationError("scene has no NIRS panel")
-    rect = scene.nirs_panels[panel_index].rectangle
+    panel = RectangleStack.of([scene.nirs_panels[panel_index].rectangle])
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
-    side_tx = float(np.dot(tx - rect.origin, rect.normal))
-    side_rx = float(np.dot(rx - rect.origin, rect.normal))
+    side_tx, side_rx = _dot(np.stack([tx, rx]) - panel.origin, panel.normal)
     if side_tx * side_rx < 0:
         raise NoSpecularGeometryError(
             "no specular geometry: Tx and Rx on opposite sides of the panel plane"
         )
-    image = rect.mirror(tx)
-    hit = rect.intersect_segment(image, rx, lo=0.0, hi=1.0)
-    if hit is None:
+    image = panel.mirror(tx)
+    t, point, hit = panel.cross(image, rx - image)
+    if not (hit[0] and 0.0 <= t[0] <= 1.0):
         raise NoSpecularGeometryError(
             "no specular geometry: mirror ray misses the panel rectangle"
         )
-    return hit[1]
+    return point[0]
 
 
 def rx_link_geometry(
@@ -722,17 +650,39 @@ def rx_link_geometry(
 
 
 # ---------------------------------------------------------------------------
-# Scene files (strict JSON schema)
+# JSON: scene files, and the plan and grid objects bundle manifests share
 # ---------------------------------------------------------------------------
-_TOP_KEYS = {"walls", "nirs_panels", "tx", "rx", "frequency_plan", "scan_grid"}
+@contextmanager
+def json_errors(source, error: type[ThzNirsError]):
+    """Re-raise any fault met while reading ``source``'s JSON as ``error`` naming it.
+
+    Toolkit errors already say what is wrong and pass through unchanged.
+    """
+    try:
+        yield
+    except ThzNirsError:
+        raise
+    except Exception as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            reason = f"invalid JSON ({exc})"
+        elif isinstance(exc, KeyError):
+            reason = f"missing key {exc}"
+        else:
+            reason = str(exc)
+        raise error(f"{source}: {reason}") from exc
 
 
-def _reject_unknown(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
+def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    """``obj`` if it is a JSON object holding every required and no unknown key."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{context} must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise SceneValidationError(
-            f"scene file: unknown key(s) {sorted(unknown)} in {context}"
-        )
+        raise ValueError(f"unknown key(s) {sorted(unknown)} in {context}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing required key '{key}' in {context}")
+    return obj
 
 
 def _position3(value, height: float, what: str) -> np.ndarray:
@@ -744,91 +694,106 @@ def _position3(value, height: float, what: str) -> np.ndarray:
     return arr
 
 
-def _pattern_from_json(obj, default: AntennaPattern) -> AntennaPattern:
-    if obj is None:
-        return default
-    _reject_unknown(obj, {"gain_dbi", "hpbw_deg"}, "pattern")
-    return AntennaPattern(
-        boresight_gain_dbi=float(obj["gain_dbi"]), hpbw_deg=float(obj["hpbw_deg"])
-    )
-
-
-def scene_from_dict(data: dict) -> Scene:
-    _reject_unknown(data, _TOP_KEYS, "top level")
-    for key in ("walls", "tx", "rx", "frequency_plan"):
-        if key not in data:
-            raise SceneValidationError(f"scene file: missing required key '{key}'")
-
-    walls = []
-    for w in data["walls"]:
-        _reject_unknown(w, {"corners", "material_loss_db"}, "wall")
-        walls.append(
-            Wall(
-                rectangle=Rectangle(corners=np.asarray(w["corners"], dtype=float)),
-                material_loss=w["material_loss_db"],
-            )
-        )
-
-    panels = []
-    for p in data.get("nirs_panels", []):
-        _reject_unknown(
-            p, {"corners", "material_loss_db", "subdivision", "active_cells"}, "nirs panel"
-        )
-        active = p.get("active_cells", "all")
-        cells = None if active == "all" else frozenset((int(r), int(c)) for r, c in active)
-        panels.append(
-            NirsPanel(
-                rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
-                material_loss=p["material_loss_db"],
-                subdivision=tuple(int(x) for x in p.get("subdivision", (3, 3))),
-                active_cells=cells,
-            )
-        )
-
-    tx = data["tx"]
-    _reject_unknown(tx, {"position", "boresight", "height_m", "pattern"}, "tx")
-    tx_height = float(tx.get("height_m", DEFAULT_TX_HEIGHT))
-    tx_pos = _position3(tx["position"], tx_height, "tx position")
-    boresight = np.asarray(tx["boresight"], dtype=float)
-    if boresight.shape == (2,):
-        boresight = np.array([boresight[0], boresight[1], 0.0])
-
-    rx = data["rx"]
-    _reject_unknown(rx, {"positions", "height_m", "pattern"}, "rx")
-    rx_height = float(rx.get("height_m", DEFAULT_RX_HEIGHT))
-    rx_pos = np.array([_position3(p, rx_height, "rx position") for p in rx["positions"]])
-
-    fp = data["frequency_plan"]
-    _reject_unknown(fp, {"f_start_hz", "f_stop_hz", "f_step_hz"}, "frequency plan")
-    plan = FrequencyPlan(
+def plan_from_json(obj) -> FrequencyPlan:
+    fp = _json_object(obj, "frequency_plan", ("f_start_hz", "f_stop_hz", "f_step_hz"))
+    return FrequencyPlan(
         f_start_hz=float(fp["f_start_hz"]),
         f_stop_hz=float(fp["f_stop_hz"]),
         f_step_hz=float(fp["f_step_hz"]),
     )
 
-    if "scan_grid" in data:
-        sg = data["scan_grid"]
-        _reject_unknown(sg, {"azimuth_deg", "elevation_deg"}, "scan grid")
-        grid = ScanGrid(
-            azimuth_deg=tuple(float(a) for a in sg["azimuth_deg"]),
-            elevation_deg=tuple(float(e) for e in sg["elevation_deg"]),
-        )
-    else:
-        grid = ScanGrid.default()
 
-    return Scene(
-        walls=tuple(walls),
-        nirs_panels=tuple(panels),
-        tx_position=tx_pos,
-        tx_boresight=boresight,
-        rx_positions=rx_pos,
-        tx_pattern=_pattern_from_json(tx.get("pattern"), DEFAULT_TX_PATTERN),
-        rx_pattern=_pattern_from_json(rx.get("pattern"), DEFAULT_RX_PATTERN),
-        frequency_plan=plan,
-        scan_grid=grid,
-        tx_height=tx_height,
-        rx_height=rx_height,
+def plan_to_json(plan: FrequencyPlan) -> dict:
+    return {
+        "f_start_hz": plan.f_start_hz,
+        "f_stop_hz": plan.f_stop_hz,
+        "f_step_hz": plan.f_step_hz,
+    }
+
+
+def grid_from_json(obj) -> ScanGrid:
+    sg = _json_object(obj, "scan_grid", ("azimuth_deg", "elevation_deg"))
+    return ScanGrid(azimuth_deg=sg["azimuth_deg"], elevation_deg=sg["elevation_deg"])
+
+
+def grid_to_json(grid: ScanGrid) -> dict:
+    return {
+        "azimuth_deg": list(grid.azimuth_deg),
+        "elevation_deg": list(grid.elevation_deg),
+    }
+
+
+def _pattern_from_json(obj, default: AntennaPattern) -> AntennaPattern:
+    if obj is None:
+        return default
+    p = _json_object(obj, "pattern", ("gain_dbi", "hpbw_deg"))
+    return AntennaPattern(
+        boresight_gain_dbi=float(p["gain_dbi"]), hpbw_deg=float(p["hpbw_deg"])
     )
+
+
+def _pattern_to_json(pattern: AntennaPattern) -> dict:
+    return {"gain_dbi": pattern.boresight_gain_dbi, "hpbw_deg": pattern.hpbw_deg}
+
+
+def scene_from_dict(data: dict, source="scene file") -> Scene:
+    """The scene a parsed scene file describes; any fault names ``source``."""
+    with json_errors(source, SceneValidationError):
+        _json_object(
+            data, "top level", ("walls", "tx", "rx", "frequency_plan"), ("nirs_panels", "scan_grid")
+        )
+        walls = []
+        for w in data["walls"]:
+            _json_object(w, "wall", ("corners", "material_loss_db"))
+            walls.append(
+                Wall(
+                    rectangle=Rectangle(corners=np.asarray(w["corners"], dtype=float)),
+                    material_loss=w["material_loss_db"],
+                )
+            )
+
+        panels = []
+        for p in data.get("nirs_panels", []):
+            _json_object(
+                p, "nirs panel", ("corners", "material_loss_db"), ("subdivision", "active_cells")
+            )
+            active = p.get("active_cells", "all")
+            cells = None if active == "all" else frozenset((int(r), int(c)) for r, c in active)
+            panels.append(
+                NirsPanel(
+                    rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
+                    material_loss=p["material_loss_db"],
+                    subdivision=tuple(int(x) for x in p.get("subdivision", (3, 3))),
+                    active_cells=cells,
+                )
+            )
+
+        tx = _json_object(data["tx"], "tx", ("position", "boresight"), ("height_m", "pattern"))
+        tx_height = float(tx.get("height_m", DEFAULT_TX_HEIGHT))
+        tx_pos = _position3(tx["position"], tx_height, "tx position")
+        boresight = np.asarray(tx["boresight"], dtype=float)
+        if boresight.shape == (2,):
+            boresight = np.array([boresight[0], boresight[1], 0.0])
+
+        rx = _json_object(data["rx"], "rx", ("positions",), ("height_m", "pattern"))
+        rx_height = float(rx.get("height_m", DEFAULT_RX_HEIGHT))
+        rx_pos = np.array([_position3(p, rx_height, "rx position") for p in rx["positions"]])
+
+        return Scene(
+            walls=tuple(walls),
+            nirs_panels=tuple(panels),
+            tx_position=tx_pos,
+            tx_boresight=boresight,
+            rx_positions=rx_pos,
+            tx_pattern=_pattern_from_json(tx.get("pattern"), DEFAULT_TX_PATTERN),
+            rx_pattern=_pattern_from_json(rx.get("pattern"), DEFAULT_RX_PATTERN),
+            frequency_plan=plan_from_json(data["frequency_plan"]),
+            scan_grid=(
+                grid_from_json(data["scan_grid"]) if "scan_grid" in data else ScanGrid.default()
+            ),
+            tx_height=tx_height,
+            rx_height=rx_height,
+        )
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -837,7 +802,7 @@ def scene_to_dict(scene: Scene) -> dict:
             return loss.points[0][1]
         return [[a, l] for a, l in loss.points]
 
-    data: dict = {
+    return {
         "walls": [
             {"corners": w.rectangle.corners.tolist(), "material_loss_db": loss_json(w.material_loss)}
             for w in scene.walls
@@ -855,39 +820,23 @@ def scene_to_dict(scene: Scene) -> dict:
             "position": scene.tx_position.tolist(),
             "boresight": scene.tx_boresight.tolist(),
             "height_m": scene.tx_height,
-            "pattern": {
-                "gain_dbi": scene.tx_pattern.boresight_gain_dbi,
-                "hpbw_deg": scene.tx_pattern.hpbw_deg,
-            },
+            "pattern": _pattern_to_json(scene.tx_pattern),
         },
         "rx": {
             "positions": scene.rx_positions.tolist(),
             "height_m": scene.rx_height,
-            "pattern": {
-                "gain_dbi": scene.rx_pattern.boresight_gain_dbi,
-                "hpbw_deg": scene.rx_pattern.hpbw_deg,
-            },
+            "pattern": _pattern_to_json(scene.rx_pattern),
         },
-        "frequency_plan": {
-            "f_start_hz": scene.frequency_plan.f_start_hz,
-            "f_stop_hz": scene.frequency_plan.f_stop_hz,
-            "f_step_hz": scene.frequency_plan.f_step_hz,
-        },
-        "scan_grid": {
-            "azimuth_deg": list(scene.scan_grid.azimuth_deg),
-            "elevation_deg": list(scene.scan_grid.elevation_deg),
-        },
+        "frequency_plan": plan_to_json(scene.frequency_plan),
+        "scan_grid": grid_to_json(scene.scan_grid),
     }
-    return data
 
 
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneValidationError(f"scene file: invalid JSON ({exc})") from exc
-    return scene_from_dict(data)
+        text = fh.read()
+    with json_errors(path, SceneValidationError):
+        return scene_from_dict(json.loads(text), source=path)
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -28,6 +28,11 @@ from .scene import (
     Scene,
     Surface,
     frequency_grid,
+    grid_from_json,
+    grid_to_json,
+    json_errors,
+    plan_from_json,
+    plan_to_json,
 )
 
 _SEG_EPS = 1e-9  # segment-parameter margin excluding the endpoints
@@ -366,15 +371,8 @@ def write_bundle(bundle: SweepBundle, dirpath) -> None:
         "format": BUNDLE_FORMAT,
         "scenario_id": m.scenario_id,
         "band_label": m.band_label,
-        "frequency_plan": {
-            "f_start_hz": m.plan.f_start_hz,
-            "f_stop_hz": m.plan.f_stop_hz,
-            "f_step_hz": m.plan.f_step_hz,
-        },
-        "scan_grid": {
-            "azimuth_deg": list(m.grid.azimuth_deg),
-            "elevation_deg": list(m.grid.elevation_deg),
-        },
+        "frequency_plan": plan_to_json(m.plan),
+        "scan_grid": grid_to_json(m.grid),
         "rx_index": m.rx_index,
         "nirs": m.nirs,
         "max_bounces": m.max_bounces,
@@ -410,25 +408,20 @@ def read_bundle(dirpath) -> SweepBundle:
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise BundleFormatError(f"missing bundle manifest: {manifest_path}")
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    plan = FrequencyPlan(
-        f_start_hz=float(raw["frequency_plan"]["f_start_hz"]),
-        f_stop_hz=float(raw["frequency_plan"]["f_stop_hz"]),
-        f_step_hz=float(raw["frequency_plan"]["f_step_hz"]),
-    )
-    grid = ScanGrid(
-        azimuth_deg=tuple(float(a) for a in raw["scan_grid"]["azimuth_deg"]),
-        elevation_deg=tuple(float(e) for e in raw["scan_grid"]["elevation_deg"]),
-    )
-    manifest = BundleManifest(
-        scenario_id=str(raw["scenario_id"]),
-        band_label=str(raw["band_label"]),
-        plan=plan,
-        grid=grid,
-        rx_index=int(raw["rx_index"]),
-        nirs=bool(raw["nirs"]),
-        max_bounces=int(raw["max_bounces"]),
-    )
+    text = manifest_path.read_text(encoding="utf-8")
+    with json_errors(manifest_path, BundleFormatError):
+        raw = json.loads(text)
+        plan = plan_from_json(raw["frequency_plan"])
+        grid = grid_from_json(raw["scan_grid"])
+        manifest = BundleManifest(
+            scenario_id=str(raw["scenario_id"]),
+            band_label=str(raw["band_label"]),
+            plan=plan,
+            grid=grid,
+            rx_index=int(raw["rx_index"]),
+            nirs=bool(raw["nirs"]),
+            max_bounces=int(raw["max_bounces"]),
+        )
     shape = (grid.n_elevation, grid.n_azimuth, plan.point_count)
     if "format" not in raw:
         sweeps = np.empty(shape, dtype=complex)

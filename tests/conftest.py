@@ -91,6 +91,23 @@ def _remove_sweeps(d: Path) -> Path:
     return path
 
 
+def _edit_manifest(change):
+    def spoil(d: Path) -> Path:
+        path = d / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        return path
+
+    return spoil
+
+
+def _truncate_manifest(d: Path) -> Path:
+    path = d / "manifest.json"
+    path.write_text(path.read_text(encoding="utf-8")[:40])
+    return path
+
+
 # Ways to spoil a written bundle directory; each returns the file the
 # resulting error must name.
 SPOILED_BUNDLES = {
@@ -100,6 +117,15 @@ SPOILED_BUNDLES = {
     "wrong_dtype": lambda d: _rewrite_sweeps(d, lambda a: a.astype(np.complex64)),
     "wrong_shape": lambda d: _rewrite_sweeps(d, lambda a: a[:, :1]),
     "unknown_format": _unknown_format,
+    "manifest_not_json": _truncate_manifest,
+    "manifest_no_scan_grid": _edit_manifest(lambda m: m.pop("scan_grid")),
+    "manifest_int_scan_grid": _edit_manifest(lambda m: m.update(scan_grid=5)),
+    "manifest_unknown_plan_key": _edit_manifest(lambda m: m["frequency_plan"].update(f_mid_hz=1.0)),
+    "manifest_missing_plan_key": _edit_manifest(lambda m: m["frequency_plan"].pop("f_step_hz")),
+    "manifest_misspelt_grid_key": _edit_manifest(
+        lambda m: m["scan_grid"].update(azimuth=m["scan_grid"].pop("azimuth_deg"))
+    ),
+    "manifest_no_rx_index": _edit_manifest(lambda m: m.pop("rx_index")),
 }
 
 

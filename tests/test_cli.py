@@ -123,6 +123,50 @@ def test_synth_rejects_malformed_material_loss(tmp_path, capsys):
     assert "material_loss_db" in err
 
 
+MALFORMED_SCENES = {
+    "walls_not_a_list": (lambda d: d.update(walls=5), "not iterable"),
+    "tx_not_an_object": (lambda d: d.update(tx=[]), "tx must be a JSON object"),
+    "grid_without_elevation": (
+        lambda d: d.update(scan_grid={"azimuth_deg": 7}), "'elevation_deg' in scan_grid"
+    ),
+    "pattern_without_hpbw": (lambda d: d["rx"]["pattern"].pop("hpbw_deg"), "'hpbw_deg' in pattern"),
+    "unknown_plan_key": (lambda d: d["frequency_plan"].update(f_mid_hz=1), "['f_mid_hz']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+def test_malformed_scene_file_names_file_and_key(tmp_path, capsys, case):
+    spoil, reason = MALFORMED_SCENES[case]
+    data = json.loads(Path(SCENES, "corridor_mini.json").read_text())
+    spoil(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["synth", "--scene", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_scene_file_not_json_names_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    rc = main(["synth", "--scene", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
+
+
+def test_internal_key_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(samples):
+        raise KeyError("b_grid")
+
+    monkeypatch.setattr("thznirs.cli.fit_refl_model", broken)
+    rc = main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: internal: 'b_grid'\n"
+
+
 def test_missing_scene_file_exits_2(tmp_path, capsys):
     rc = main(["synth", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -412,6 +456,24 @@ def _write_results(path, scene_file, pl_values):
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("spec", ["5:10", "a:1:3", "1,,2", "0:1:inf"])
+def test_malformed_range_names_spec_exits_2(tmp_path, capsys, spec):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "results.csv"
+    _write_results(results, scene_file, [105.0] * 9)
+    runs = [
+        ["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+         f"--angles={spec}", "--out", str(tmp_path / "t.csv")],
+        ["coverage", "--scene", scene_file, "--results", str(results),
+         f"--thresholds={spec}", "--out", str(tmp_path / "c.csv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: range '{spec}': ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "c.csv").exists()
+
+
 def test_coverage_thresholds_flag_gives_41_rows(tmp_path):
     scene_file = f"{SCENES}/corridor_mini.json"
     results = tmp_path / "results.csv"
@@ -467,6 +529,31 @@ def test_coverage_duplicate_rx_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(results) in err and "rx_id 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        ("rx_id", "x", "invalid literal for int()"),
+        ("pl_omni_db", "", "could not convert"),
+        ("pl_omni_db", "nan", "must be finite"),
+        ("pl_omni_db", "inf", "must be finite"),
+    ],
+)
+def test_coverage_bad_row_names_file_and_row(tmp_path, capsys, column, value, reason):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    rows = [[str(k), str(100 + k)] for k in range(9)]
+    rows[2][["rx_id", "pl_omni_db"].index(column)] = value
+    results = tmp_path / "r.csv"
+    results.write_text("rx_id,pl_omni_db\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    out = tmp_path / "c.csv"
+    rc = main(["coverage", "--scene", scene_file, "--results", str(results),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: data row 3: ") and err.count("\n") == 1
+    assert reason in err
     assert not out.exists()
 
 

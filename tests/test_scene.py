@@ -98,9 +98,9 @@ def test_scan_grid_validation(az, el):
 
 def test_scan_direction_vectors():
     grid = ScanGrid.default()
-    v = grid.direction(2, 9)  # el 0, az 90
-    assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-15)
     vs = grid.direction_vectors()
+    v = vs[2, 9]  # el 0, az 90
+    assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-15)
     assert vs.shape == (5, 36, 3)
     assert np.allclose(np.linalg.norm(vs, axis=-1), 1.0)
 
@@ -134,12 +134,12 @@ def test_rectangle_coplanarity_error():
 def test_rectangle_geometry():
     r = Rectangle.from_center([0, 0, 1.0], [0, 1, 0], [0, 0, 1], 2.0, 2.0)
     assert np.allclose(r.center, [0, 0, 1.0])
-    assert r.contains([0, 0.5, 1.2])
-    assert not r.contains([0, 1.5, 1.2])
-    assert not r.contains([0.3, 0.0, 1.0])  # off the plane
+    assert oracle.contains(r, [0, 0.5, 1.2])
+    assert not oracle.contains(r, [0, 1.5, 1.2])
+    assert not oracle.contains(r, [0.3, 0.0, 1.0])  # off the plane
     p = np.array([2.0, 0.3, 1.1])
-    assert np.allclose(r.mirror(r.mirror(p)), p, atol=1e-12)
-    assert np.allclose(r.mirror(p), [-2.0, 0.3, 1.1])
+    assert np.allclose(oracle.mirror(r, oracle.mirror(r, p)), p, atol=1e-12)
+    assert np.allclose(oracle.mirror(r, p), [-2.0, 0.3, 1.1])
 
 
 def test_loss_table():
@@ -294,13 +294,13 @@ def test_rectangle_stack_equals_scalar_methods(rng):
     q[:20] = p[:20] + np.cross(rects[0].normal, rng.normal(size=(20, 3)))
     q[20:40] = rects[1].center
     assert stack.mirror(p[:, None, :]).tobytes() == np.array(
-        [[r.mirror(x) for r in rects] for x in p]
+        [[oracle.mirror(r, x) for r in rects] for x in p]
     ).tobytes()
     t, point, hit = stack.cross(p[:, None, :], (q - p)[:, None, :])
     hit &= (0.0 <= t) & (t <= 1.0)
     for i in range(p.shape[0]):
         for j, r in enumerate(rects):
-            found = r.intersect_segment(p[i], q[i])
+            found = oracle.intersect_segment(r, p[i], q[i])
             assert hit[i, j] == (found is not None), (i, j)
             if found is not None:
                 assert (t[i, j], point[i, j].tobytes()) == (found[0], found[1].tobytes())
@@ -379,6 +379,35 @@ def test_specular_point_opposite_sides_error():
     scene = _panel_scene([4.0, 0.0, 2.0], [-4.0, 0.0, 2.0])
     with pytest.raises(NoSpecularGeometryError, match="opposite"):
         specular_point(scene, 0)
+
+
+def _specular_outcome(fn, scene, k):
+    """The point's bytes, or the message of the NoSpecularGeometryError."""
+    try:
+        return fn(scene, k).tobytes()
+    except NoSpecularGeometryError as exc:
+        return str(exc)
+
+
+def test_specular_point_equals_scalar_oracle(rng):
+    # Each scene's own receivers, plus receivers on lines from the Tx image
+    # through random points of the panel plane (s, t in [-0.25, 1.25]): the
+    # line parameter mu > 1 keeps the Rx on the Tx side, mu < 1 puts it
+    # across the plane.
+    kinds = {"hit": 0, "misses": 0, "opposite": 0}
+    for name, base in sorted(PANEL_SCENES.items()):
+        rect = base.nirs_panels[0].rectangle
+        on_plane = rect.origin + rng.uniform(-0.25, 1.25, size=(300, 2)) @ np.stack([rect.u, rect.v])
+        image = oracle.mirror(rect, base.tx_position)
+        rx = image + rng.uniform(0.5, 3.0, size=(300, 1)) * (on_plane - image)
+        scene = dataclasses.replace(base, rx_positions=np.vstack([base.rx_positions, rx]))
+        outcomes = [_specular_outcome(specular_point, scene, k) for k in range(scene.n_rx)]
+        assert outcomes == [
+            _specular_outcome(oracle.specular_point, scene, k) for k in range(scene.n_rx)
+        ], name
+        for o in outcomes:
+            kinds["hit" if isinstance(o, bytes) else "opposite" if "opposite" in o else "misses"] += 1
+    assert min(kinds.values()) > 500, kinds
 
 
 def test_reflection_angle_rigid_motion_invariant():

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from thznirs.scene import load_scene, nirs_angle_set
+from thznirs.presets import PLAN_MINI_306, corridor_scene, hallway_scene
+from thznirs.scene import load_scene, nirs_angle_set, save_scene
+from thznirs.synthchan import read_bundle, synthesize_sweep, write_bundle
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -18,6 +20,34 @@ EXPECTED = {
     "hallway_mini.json": (12, True, 101),
     "hallway_mini_no_nirs.json": (12, False, 101),
 }
+
+
+# The preset calls demos/regenerate_scenes.py makes for each shipped file.
+PRESETS = {
+    "corridor.json": lambda: corridor_scene(),
+    "corridor_no_nirs.json": lambda: corridor_scene(nirs=False),
+    "corridor_mini.json": lambda: corridor_scene(plan=PLAN_MINI_306),
+    "corridor_mini_no_nirs.json": lambda: corridor_scene(nirs=False, plan=PLAN_MINI_306),
+    "hallway.json": lambda: hallway_scene(),
+    "hallway_no_nirs.json": lambda: hallway_scene(nirs=False),
+    "hallway_mini.json": lambda: hallway_scene(plan=PLAN_MINI_306),
+    "hallway_mini_no_nirs.json": lambda: hallway_scene(nirs=False, plan=PLAN_MINI_306),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_presets_regenerate_shipped_scene_bytes(tmp_path, name):
+    save_scene(PRESETS[name](), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (SCENES / name).read_bytes()
+
+
+def test_bundle_manifest_round_trips_bytes(tmp_path):
+    bundle = synthesize_sweep(load_scene(SCENES / "hallway_mini.json"), 3, scenario_id="rt")
+    write_bundle(bundle, tmp_path / "a")
+    write_bundle(read_bundle(tmp_path / "a"), tmp_path / "b")
+    assert (tmp_path / "b" / "manifest.json").read_bytes() == (
+        tmp_path / "a" / "manifest.json"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
