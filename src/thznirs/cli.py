@@ -215,9 +215,16 @@ def _cmd_fit(args) -> int:
                 "--generate expects 'scenario,band,phi_bar,a,b,c'"
             )
         scenario, band = parts[0], parts[1]
-        model = ReflLossModel(
-            phi_bar_deg=float(parts[2]), a=float(parts[3]), b=float(parts[4]), c=float(parts[5])
-        )
+        values = []
+        for name, text in zip(("phi_bar", "a", "b", "c"), parts[2:]):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValidationError(f"--generate: {name} '{text}' is not a finite number")
+            values.append(value)
+        model = ReflLossModel(*values)
         angles = _parse_range(args.angles)
         rng = np.random.default_rng(args.seed)
         samples = generate_samples(
@@ -229,7 +236,12 @@ def _cmd_fit(args) -> int:
 
     entries = []
     for (scenario, band) in sorted(groups):
-        fit = fit_refl_model(groups[(scenario, band)])
+        try:
+            fit = fit_refl_model(groups[(scenario, band)])
+        except ThzNirsError as exc:
+            if not args.samples:
+                raise
+            raise ValidationError(f"{args.samples}: group {scenario}/{band}: {exc}") from None
         entries.append((scenario, band, fit))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_fit_table_csv(entries, args.out)

@@ -36,7 +36,7 @@ B_GRID_STEP = 0.05
 PHI_GRID_STEP_DEG = 0.01
 REFINE_STAGES = 7
 _TIE_TOL = 1e-12
-_BLOCK_ELEMS = 1 << 14  # (rows, k, n) elements per array op: temporaries stay in cache
+_BLOCK_ELEMS = 1 << 16  # (samples, rows, k) elements per array op: temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -101,44 +101,119 @@ def eval_refl_model(model: ReflLossModel, phi_deg):
     return float(val) if np.isscalar(phi_deg) else val
 
 
-def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: np.ndarray):
-    """Best (rmse, phi, a, c) for each exponent b[i] over its phi_bar grid row.
+def _pairwise_sum(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) into out, bit for bit as numpy sums a contiguous last axis.
 
-    b has shape (m,) and grid (m, k); the result is a (4, m) array.  (a, c)
+    Every add runs over whole contiguous x[i] slices.  The order is numpy's
+    pairwise summation: fewer than 8 terms one by one; up to 128 terms in 8
+    running sums joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest one by one; more terms split at n//2 rounded down to a multiple of
+    8.  work is scratch shaped like x (x itself, if x may be overwritten).
+    """
+    _pairwise_tree(x, out, work)
+    out += 0.0  # numpy starts from the identity +0.0, so all -0.0 terms sum to +0.0
+    return out
+
+
+def _pairwise_tree(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """_pairwise_sum without the starting identity."""
+    n = x.shape[0]
+    if n < 8:
+        np.copyto(out, x[0])
+        for i in range(1, n):
+            out += x[i]
+    elif n <= 128:
+        n8 = n - n % 8
+        r = x[0:8]
+        if n8 > 8:
+            r = np.add(r, x[8:16], out=work[0:8])
+            for i in range(16, n8, 8):
+                r += x[i:i + 8]
+        p = np.add(r[0::2], r[1::2], out=work[0:8:2])
+        q = np.add(p[0::2], p[1::2], out=work[0:8:4])
+        np.add(q[0], q[1], out=out)
+        for i in range(n8, n):
+            out += x[i]
+    else:
+        n2 = n // 2
+        n2 -= n2 % 8
+        _pairwise_tree(x[:n2], out, work)
+        rest = np.empty_like(out)
+        _pairwise_tree(x[n2:], rest, work)
+        out += rest
+
+
+def _mean(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x.mean(axis=0) into out, equal bit for bit to numpy's mean over a
+    contiguous last axis: the pairwise sum divided by the count.  work is
+    as for _pairwise_sum."""
+    return np.divide(_pairwise_sum(x, out, work), x.shape[0], out=out)
+
+
+def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: np.ndarray):
+    """Best (rmse, phi, a, c) for each exponent b[i] over its phi_bar grid.
+
+    b has shape (m,); grid is either (k,), shared by every exponent, or
+    (m, k), one row per exponent.  The result is a (4, m) array.  (a, c)
     come from the closed-form least squares at each grid point and are
     clamped non-negative with a re-solve.  Ties within 1e-12 RMSE pick the
-    smallest phi_bar (the first grid point).  Rows are evaluated in blocks
-    of about _BLOCK_ELEMS (row, grid point, sample) elements.
+    smallest phi_bar (the first grid point).
+
+    Rows are evaluated in blocks of about _BLOCK_ELEMS (sample, row, grid
+    point) elements, sample-major, so that every array op and every mean
+    over the samples runs over contiguous (row, grid point) slices.  The
+    temporaries live in buffers allocated once per call.
     """
-    m, k = grid.shape
-    y = losses
-    my = float(y.mean())
+    m, k, n = b.shape[0], grid.shape[-1], angles.shape[0]
+    my = float(losses.mean())
+    y = losses[:, None, None]
+    rows = min(m, max(1, _BLOCK_ELEMS // (k * n)))
+    if grid.ndim == 1:
+        dist = np.abs(angles[:, None] - grid)[:, None, :]  # (n, 1, k), once per call
+    x_buf, t_buf = np.empty((2, n, rows, k))
+    small = np.empty((9, rows, k))  # mx, mxx, mxy, var, cov, a, c, a at c = 0, rmse
+    mask_buf, neg_buf = np.empty((2, rows, k), dtype=bool)
     out = np.empty((4, m))
-    rows = max(1, _BLOCK_ELEMS // (k * y.shape[0]))
     for s in range(0, m, rows):
-        g = grid[s:s + rows]
-        x = np.abs(angles - g[..., None]) ** b[s:s + rows, None, None]  # (rows, k, n)
-        mx = x.mean(axis=-1)
-        mxx = (x * x).mean(axis=-1)
-        mxy = (x * y).mean(axis=-1)
-        var = mxx - mx * mx
-        cov = mxy - mx * my
+        e = min(m, s + rows)
+        r = e - s
+        x, t = x_buf[:, :r], t_buf[:, :r]
+        mx, mxx, mxy, var, cov, a, c, az, rmse = small[:, :r]
+        mask, neg = mask_buf[:r], neg_buf[:r]
+        be = b[None, s:e, None]
+        if grid.ndim == 1:
+            np.power(dist, be, out=x)
+        else:
+            np.subtract(angles[:, None, None], grid[s:e], out=x)
+            np.power(np.abs(x, out=x), be, out=x)
+        _mean(x, mx, t)
+        _mean(np.multiply(x, x, out=t), mxx, t)
+        _mean(np.multiply(x, y, out=t), mxy, t)
+        np.subtract(mxx, np.multiply(mx, mx, out=var), out=var)
+        np.subtract(mxy, np.multiply(mx, my, out=cov), out=cov)
 
-        a = np.where(var > 0, cov / np.where(var > 0, var, 1.0), 0.0)
-        c = my - a * mx
-        neg_a = a < 0
-        a = np.where(neg_a, 0.0, a)
-        c = np.where(neg_a, my, c)
-        neg_c = c < 0
-        a_zero_c = np.maximum(np.where(mxx > 0, mxy / np.where(mxx > 0, mxx, 1.0), 0.0), 0.0)
-        a = np.where(neg_c, a_zero_c, a)
-        c = np.where(neg_c, 0.0, c)
+        # a = cov / var (0 where var <= 0) and c = my - a mx; a < 0 clamps
+        # to (0, my); c < 0 re-solves with c = 0, a = max(mxy / mxx, 0)
+        a.fill(0.0)
+        np.divide(cov, var, out=a, where=np.greater(var, 0.0, out=mask))
+        np.subtract(my, np.multiply(a, mx, out=c), out=c)
+        np.less(a, 0.0, out=neg)
+        np.copyto(a, 0.0, where=neg)
+        np.copyto(c, my, where=neg)
+        az.fill(0.0)
+        np.divide(mxy, mxx, out=az, where=np.greater(mxx, 0.0, out=mask))
+        np.maximum(az, 0.0, out=az)
+        np.less(c, 0.0, out=neg)
+        np.copyto(a, az, where=neg)
+        np.copyto(c, 0.0, where=neg)
 
-        resid = y - a[..., None] * x - c[..., None]
-        rmse = np.sqrt((resid * resid).mean(axis=-1))
+        np.subtract(y, np.multiply(a, x, out=t), out=t)
+        np.subtract(t, c, out=t)
+        np.sqrt(_mean(np.multiply(t, t, out=t), rmse, t), out=rmse)
         j = np.argmax(rmse <= rmse.min(axis=-1, keepdims=True) + _TIE_TOL, axis=-1)
-        r = np.arange(j.shape[0])
-        out[:, s:s + rows] = rmse[r, j], g[r, j], a[r, j], c[r, j]
+        i = np.arange(r)
+        phi = grid[j] if grid.ndim == 1 else grid[s + i, j]
+        out[:, s:e] = rmse[i, j], phi, a[i, j], c[i, j]
     return out
 
 
@@ -149,7 +224,7 @@ def _phi_conditional(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, lo: 
     n_phi = max(1, int(round((hi - lo) / PHI_GRID_STEP_DEG)) + 1)
     grid = lo + PHI_GRID_STEP_DEG * np.arange(n_phi)
     grid = grid[grid <= hi + 1e-12]
-    best = _best_over_phi(angles, losses, b, np.broadcast_to(grid, (b.shape[0], grid.shape[0])))
+    best = _best_over_phi(angles, losses, b, grid)
     step = PHI_GRID_STEP_DEG
     for _ in range(REFINE_STAGES):
         # sorted already; clipped duplicates tie and the first one wins
@@ -245,6 +320,8 @@ def generate_samples(
     band_label: str = "",
 ) -> list[ReflSample]:
     """Samples drawn from the model, optionally with Gaussian dB noise."""
+    if not (math.isfinite(noise_sigma_db) and noise_sigma_db >= 0):
+        raise ValidationError(f"noise sigma must be finite and >= 0 dB, got {noise_sigma_db}")
     values = eval_refl_model(model, np.asarray(angles_deg, dtype=float))
     if noise_sigma_db > 0:
         if rng is None:

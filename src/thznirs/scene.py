@@ -685,6 +685,13 @@ def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[
     return obj
 
 
+def _json_list(obj, context: str) -> list:
+    """``obj`` if it is a JSON array."""
+    if not isinstance(obj, list):
+        raise TypeError(f"{context} must be a JSON array, got {type(obj).__name__}")
+    return obj
+
+
 def _position3(value, height: float, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape == (2,):
@@ -743,7 +750,7 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
             data, "top level", ("walls", "tx", "rx", "frequency_plan"), ("nirs_panels", "scan_grid")
         )
         walls = []
-        for w in data["walls"]:
+        for w in _json_list(data["walls"], "walls"):
             _json_object(w, "wall", ("corners", "material_loss_db"))
             walls.append(
                 Wall(
@@ -753,7 +760,7 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
             )
 
         panels = []
-        for p in data.get("nirs_panels", []):
+        for p in _json_list(data.get("nirs_panels", []), "nirs_panels"):
             _json_object(
                 p, "nirs panel", ("corners", "material_loss_db"), ("subdivision", "active_cells")
             )
@@ -777,7 +784,10 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
 
         rx = _json_object(data["rx"], "rx", ("positions",), ("height_m", "pattern"))
         rx_height = float(rx.get("height_m", DEFAULT_RX_HEIGHT))
-        rx_pos = np.array([_position3(p, rx_height, "rx position") for p in rx["positions"]])
+        rx_pos = np.array([
+            _position3(p, rx_height, "rx position")
+            for p in _json_list(rx["positions"], "positions in rx")
+        ])
 
         return Scene(
             walls=tuple(walls),

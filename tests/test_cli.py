@@ -124,7 +124,13 @@ def test_synth_rejects_malformed_material_loss(tmp_path, capsys):
 
 
 MALFORMED_SCENES = {
-    "walls_not_a_list": (lambda d: d.update(walls=5), "not iterable"),
+    "walls_not_a_list": (lambda d: d.update(walls=5), "walls must be a JSON array, got int"),
+    "panels_not_a_list": (
+        lambda d: d.update(nirs_panels=7), "nirs_panels must be a JSON array, got int"
+    ),
+    "rx_positions_not_a_list": (
+        lambda d: d["rx"].update(positions=3), "positions in rx must be a JSON array, got int"
+    ),
     "tx_not_an_object": (lambda d: d.update(tx=[]), "tx must be a JSON object"),
     "grid_without_elevation": (
         lambda d: d.update(scan_grid={"azimuth_deg": 7}), "'elevation_deg' in scan_grid"
@@ -397,6 +403,58 @@ def test_fit_short_sample_row_names_file_and_row(tmp_path, capsys):
     rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {samples}: data row 2: ")
+
+
+@pytest.mark.parametrize(
+    "bad_rows, reason",
+    [
+        ([(5, 10.0), (15, 11.0), (25, 12.0)], "fit needs at least 4 with-NIRS samples, got 3"),
+        ([(35, 10.0 + k) for k in range(5)], "all sample angles are identical"),
+    ],
+    ids=["too_few", "one_angle"],
+)
+def test_fit_names_the_failing_group(tmp_path, capsys, bad_rows, reason):
+    lines = ["scenario,band,rx_id,reflection_angle_deg,l_ref_db"]
+    for g in range(16):
+        rows = bad_rows if g == 9 else [(5 + 10 * k, 10.0 + k * k) for k in range(8)]
+        lines += [f"s{g:02d},306-321GHz,{k},{angle},{loss}" for k, (angle, loss) in enumerate(rows)]
+    samples = tmp_path / "s.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {samples}: group s09/306-321GHz: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-3", "nan", "inf"])
+def test_fit_generate_rejects_bad_noise_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "t.csv"
+    rc = main([
+        "fit", "--generate", "corridor,306-321GHz,17.51,2.80,0.48,7.4",
+        "--noise-sigma", sigma, "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise sigma must be finite and >= 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("a,b,x,1,1,1", "phi_bar 'x'"),
+        ("a,b,1,one,1,1", "a 'one'"),
+        ("a,b,1,1,nan,1", "b 'nan'"),
+        ("a,b,1,1,1,", "c ''"),
+    ],
+    ids=["phi_bar", "a", "b_nan", "c_empty"],
+)
+def test_fit_generate_names_non_numeric_field(tmp_path, capsys, spec, reason):
+    rc = main(["fit", "--generate", spec, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --generate: {reason} is not a finite number\n"
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

@@ -284,6 +284,32 @@ def test_generated_noise_is_seed_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("sigma", [-3.0, -1e-300, math.nan, math.inf])
+def test_generate_rejects_bad_noise_sigma(sigma):
+    gen = TABLE_ROWS[("corridor", "306-321GHz")]
+    with pytest.raises(ValidationError, match="noise sigma must be finite and >= 0"):
+        generate_samples(gen, EIGHT_ANGLES, noise_sigma_db=sigma, rng=np.random.default_rng(3))
+
+
+def test_pairwise_sum_follows_numpy_summation_order():
+    # The fitter's means must equal ndarray.mean bit for bit (its oracle uses
+    # it); n = 1..300 covers the one-by-one, 8-sum and split branches.
+    rng = np.random.default_rng(8)
+    for n in range(1, 301):
+        v = 10.0 ** rng.uniform(-8.0, 8.0, size=(16, n)) * rng.choice([-1.0, 1.0], size=(16, n))
+        v[rng.random((16, n)) < 0.1] = -0.0
+        v[0] = -0.0
+        x = np.ascontiguousarray(v.T)
+        out, work = np.empty(16), np.empty_like(x)
+        got = reflfit._pairwise_sum(x, out, work).tobytes()
+        assert got == v.sum(axis=-1).tobytes(), (
+            f"n={n}: numpy's summation order changed; reflfit._pairwise_sum no longer "
+            "matches ndarray.sum, and the fitter will drift from its oracle"
+        )
+        assert reflfit._mean(x, out, work).tobytes() == v.mean(axis=-1).tobytes(), n
+        assert reflfit._mean(x, out, x).tobytes() == v.mean(axis=-1).tobytes(), n  # in place
+
+
 def test_noisy_fit_on_dense_design_recovers():
     # one seed of the estimator-consistency setting: angles at 0.25 deg
     gen = TABLE_ROWS[("corridor", "306-321GHz")]

@@ -307,6 +307,40 @@ def test_rectangle_stack_equals_scalar_methods(rng):
     assert hit.any() and not hit[:20, 0].any()
 
 
+def test_rectangle_stack_hit_equals_scalar_oracle_at_edges():
+    # Lines aimed within rounding of the padded edges, kept where computing
+    # the in-plane coordinates with (w * u).sum(-1) instead of np.dot flips
+    # the hit: the stack must decide those points as the scalar oracle does.
+    rng = np.random.default_rng(2024)
+    sensitive = 0
+    for u in rng.normal(size=(6, 3)):
+        v = np.cross(u, rng.normal(size=3))
+        rect = Rectangle.from_center(rng.normal(size=3), u, v, 2.0, 1.5)
+        stack = RectangleStack.of([rect])
+        _, pad_s, pad_t = rect._margins()
+        s, r = rng.uniform(0.0, 1.0, size=(2, 1000))
+        edge = rng.integers(0, 4, size=1000)
+        s = np.select([edge == 0, edge == 1], [-pad_s, 1.0 + pad_s], s)
+        r = np.select([edge == 2, edge == 3], [-pad_t, 1.0 + pad_t], r)
+        target = rect.origin + s[:, None] * rect.u + r[:, None] * rect.v
+        target *= 1.0 + rng.uniform(-4e-16, 4e-16, size=target.shape)
+        p = target + rect.normal * rng.uniform(0.5, 2.0, size=(1000, 1))
+        p += rng.normal(size=(1000, 3)) * 0.3
+        q = 2.0 * target - p
+        _, point, hit = stack.cross(p, q - p)
+        w = point - rect.origin
+        s_sum = (w * rect.u).sum(-1) / rect.u.dot(rect.u)
+        r_sum = (w * rect.v).sum(-1) / rect.v.dot(rect.v)
+        inside_sum = (
+            (-pad_s <= s_sum) & (s_sum <= 1.0 + pad_s) & (-pad_t <= r_sum) & (r_sum <= 1.0 + pad_t)
+        )
+        for i in range(1000):
+            if inside_sum[i] != oracle.contains(rect, point[i]):
+                sensitive += 1
+                assert hit[i] == (oracle.intersect_segment(rect, p[i], q[i]) is not None), i
+    assert sensitive >= 100
+
+
 def test_angle_set_monotone_in_panel_area(rng):
     scene = hallway_scene(plan=PLAN_MINI_306)
     all_cells = [(r, c) for r in range(3) for c in range(3)]
