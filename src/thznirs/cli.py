@@ -13,7 +13,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -49,7 +48,8 @@ from .synthchan import read_bundle, read_sweep_csv, synthesize_sweep, write_bund
 
 
 def _worker_count() -> int:
-    """THZ_NIRS_THREADS caps parallelism; 0 or unset means auto."""
+    """THZ_NIRS_THREADS caps fit's worker processes; 0 or unset means the
+    CPUs this process may run on, at most 4."""
     raw = os.environ.get("THZ_NIRS_THREADS", "0")
     try:
         cap = int(raw)
@@ -57,7 +57,11 @@ def _worker_count() -> int:
         raise ValidationError(f"THZ_NIRS_THREADS must be an integer, got '{raw}'")
     if cap < 0:
         raise ValidationError("THZ_NIRS_THREADS must be >= 0")
-    return cap if cap > 0 else min(4, os.cpu_count() or 1)
+    if cap > 0:
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -95,19 +99,11 @@ def _cmd_synth(args) -> int:
         if not (0 <= k < scene.n_rx):
             raise ValidationError(f"rx index {k} out of range (scene has {scene.n_rx})")
 
-    def synth_one(k: int) -> None:
+    for k in rx_indices:
         bundle = synthesize_sweep(
             scene, k, max_bounces=args.max_bounces, scenario_id=scenario
         )
         write_bundle(bundle, out / f"rx{k:03d}")
-
-    workers = min(_worker_count(), len(rx_indices))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(synth_one, rx_indices))
-    else:
-        for k in rx_indices:
-            synth_one(k)
     return 0
 
 
@@ -142,6 +138,11 @@ def _cmd_pipeline(args) -> int:
     for bdir in _bundle_dirs(Path(args.bundle)):
         bundle = read_bundle(bdir)
         m = bundle.manifest
+        if not 0 <= m.rx_index < scene.n_rx:
+            raise ValidationError(
+                f"bundle {bdir} holds rx {m.rx_index}, but scene {args.scene} "
+                f"has only {scene.n_rx} receivers"
+            )
         if m.rx_index in seen:
             raise ValidationError(
                 f"bundles {seen[m.rx_index]} and {bdir} both hold rx {m.rx_index}"
@@ -205,6 +206,42 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     return groups
 
 
+def _fit_group(samples: list[ReflSample]):
+    """Fit one group; a toolkit error is returned so the caller can name the group."""
+    try:
+        return fit_refl_model(samples)
+    except ThzNirsError as exc:
+        return exc
+
+
+@contextmanager
+def _group_map(n_groups: int):
+    """Yield an ordered ``map`` over ``n_groups`` independent groups.
+
+    With more than one worker it runs on fork-started processes, which
+    inherit the imported modules and so start in milliseconds (a spawned
+    worker would import numpy afresh, costing more than a fit). Forking is
+    safe here: the CLI starts no threads, and OpenBLAS stops its own around
+    ``fork``. Otherwise, or where ``fork`` is missing, it is the builtin
+    ``map`` in this process.
+    """
+    workers = min(_worker_count(), n_groups)
+    if workers > 1:
+        import concurrent.futures
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            )
+            try:
+                yield pool.map
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield map
+
+
 def _cmd_fit(args) -> int:
     if bool(args.samples) == bool(args.generate):
         raise ValidationError("fit needs exactly one of --samples or --generate")
@@ -234,15 +271,16 @@ def _cmd_fit(args) -> int:
     else:
         groups = _read_samples_csv(args.samples, args.scenario, args.band)
 
+    keys = sorted(groups)
     entries = []
-    for (scenario, band) in sorted(groups):
-        try:
-            fit = fit_refl_model(groups[(scenario, band)])
-        except ThzNirsError as exc:
-            if not args.samples:
-                raise
-            raise ValidationError(f"{args.samples}: group {scenario}/{band}: {exc}") from None
-        entries.append((scenario, band, fit))
+    with _group_map(len(keys)) as map_groups:
+        fits = map_groups(_fit_group, [groups[key] for key in keys])
+        for (scenario, band), fit in zip(keys, fits):
+            if isinstance(fit, ThzNirsError):
+                if not args.samples:
+                    raise fit
+                raise ValidationError(f"{args.samples}: group {scenario}/{band}: {fit}")
+            entries.append((scenario, band, fit))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_fit_table_csv(entries, args.out)
     return 0

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from conftest import SPOILED_BUNDLES, write_csv_bundle
 
+from thznirs import cli
 from thznirs.cli import main
 from thznirs.pathloss import CiModel, directional_path_loss, omni_path_loss
 from thznirs.pdap import pdap_from_sweeps
 from thznirs.presets import PLAN_MINI_306, corridor_scene
-from thznirs.reflfit import additional_reflection_loss
+from thznirs.reflfit import ReflLossModel, additional_reflection_loss, generate_samples
 from thznirs.scene import (
     FrequencySweep,
     ScanGrid,
@@ -27,6 +28,7 @@ from thznirs.scene import (
 from thznirs.synthchan import synthesize_sweep, write_sweep_csv
 
 SCENES = str(Path(__file__).resolve().parent.parent / "scenes")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -272,6 +274,20 @@ def test_pipeline_rejects_duplicate_rx_ids(tmp_path, mini_scene_file, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"{copy} and {out / 'rx001'}" in lines[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pipeline_names_bundle_whose_rx_the_scene_lacks(tmp_path, capsys):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
+                 "--rx-index", "10", "--max-bounces", "1"]) == 0
+    scene_file = f"{SCENES}/corridor_mini.json"
+    rc = main(["pipeline", "--scene", scene_file, "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: bundle {out / 'rx010'} holds rx 10, "
+                   f"but scene {scene_file} has only 9 receivers\n")
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -615,14 +631,143 @@ def test_coverage_bad_row_names_file_and_row(tmp_path, capsys, column, value, re
     assert not out.exists()
 
 
-def test_thread_cap_env(tmp_path, mini_scene_file, monkeypatch):
+# The four rows of the paper's fit table; groups alternate over them.
+FIT_TABLE = (
+    ("corridor", "306-321GHz", ReflLossModel(17.51, 2.80, 0.48, 7.40)),
+    ("hallway", "306-321GHz", ReflLossModel(15.79, 3.52, 0.59, 1.51)),
+    ("corridor", "356-371GHz", ReflLossModel(18.34, 1.34, 0.60, 13.78)),
+    ("hallway", "356-371GHz", ReflLossModel(15.58, 2.60, 0.67, 4.01)),
+)
+
+
+def _write_fit_batch(path, n_groups=16, seed=1, bad=()):
+    """Noisy groups, the first half on 8 angles and the rest on 24; the
+    groups named in ``bad`` get three samples, too few to fit."""
+    rng = np.random.default_rng(seed)
+    lines = ["scenario,band,rx_id,reflection_angle_deg,l_ref_db"]
+    for g in range(n_groups):
+        scenario, band, model = FIT_TABLE[g % len(FIT_TABLE)]
+        angles = 5.0 + 10.0 * np.arange(8) if g < n_groups // 2 else 3.0 + 3.0 * np.arange(24)
+        samples = generate_samples(model, angles, noise_sigma_db=0.5, rng=rng, band_label=band)
+        for s in samples[:3] if g in bad else samples:
+            lines.append(f"{scenario}-g{g:02d},{band},{s.rx_id},"
+                         f"{s.reflection_angle_deg!r},{s.additional_loss_db!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_thread_cap_env(tmp_path, monkeypatch):
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=4)
+    monkeypatch.setenv("THZ_NIRS_THREADS", "1")
+    assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "one.csv")]) == 0
     monkeypatch.setenv("THZ_NIRS_THREADS", "2")
-    out = tmp_path / "bundles"
-    assert main(["synth", "--scene", str(mini_scene_file), "--out", str(out)]) == 0
-    assert len(list(out.iterdir())) == 3
+    assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "two.csv")]) == 0
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert len((tmp_path / "two.csv").read_text().splitlines()) == 1 + 4
     monkeypatch.setenv("THZ_NIRS_THREADS", "abc")
-    rc = main(["synth", "--scene", str(mini_scene_file), "--out", str(tmp_path / "y")])
+    rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "y.csv")])
     assert rc == 2
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("THZ_NIRS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli._worker_count() == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._worker_count() == 3
+    monkeypatch.setenv("THZ_NIRS_THREADS", "7")
+    assert cli._worker_count() == 7
+
+
+def test_fit_pool_gives_the_serial_table(tmp_path, monkeypatch):
+    samples = _write_fit_batch(tmp_path / "s.csv")
+    tables = {}
+    for threads in (None, "1", "3"):
+        if threads is None:
+            monkeypatch.delenv("THZ_NIRS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("THZ_NIRS_THREADS", threads)
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 0
+        tables[threads] = out.read_bytes()
+    assert tables[None] == tables["1"] == tables["3"]
+    assert len(tables["1"].decode().splitlines()) == 1 + 16
+
+
+@pytest.mark.parametrize("threads", ["0", "1", "2"])
+def test_fit_pool_names_the_first_failing_group(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("THZ_NIRS_THREADS", threads)
+    samples = _write_fit_batch(tmp_path / "s.csv", bad=(14, 5))
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    # corridor-g14 sorts before hallway-g05, so it is named although made later
+    assert err == (f"error: {samples}: group corridor-g14/356-371GHz: "
+                   "fit needs at least 4 with-NIRS samples, got 3\n")
+    assert not out.exists()
+
+
+def test_fit_worker_that_dies_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THZ_NIRS_THREADS", "2")
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=6)
+    fit = cli.fit_refl_model
+
+    def dies_on_24_angles(group):  # the fork carries this patch into the workers
+        if len(group) == 24:
+            os._exit(3)
+        return fit(group)
+
+    monkeypatch.setattr(cli, "fit_refl_model", dies_on_24_angles)
+    out = tmp_path / "t.csv"
+    assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: internal: ")
+    assert not out.exists()
+
+
+def test_fit_worker_fault_is_reraised_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THZ_NIRS_THREADS", "2")
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=6)
+
+    def faulty(group):
+        raise ZeroDivisionError(f"fault on {len(group)} samples")
+
+    monkeypatch.setattr(cli, "fit_refl_model", faulty)
+    out = tmp_path / "t.csv"
+    assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: internal: fault on 8 samples\n"
+    assert not out.exists()
+
+
+def test_one_group_fit_starts_no_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-group fit started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("THZ_NIRS_THREADS", "4")
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=1)
+    assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")]) == 0
+    assert main([
+        "fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+        "--noise-sigma", "0.5", "--out", str(tmp_path / "g.csv"),
+    ]) == 0
+
+
+def test_cli_import_loads_no_pool_machinery():
+    code = ("import sys, thznirs.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():
