@@ -13,9 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, SingularCalibrationError, ValidationError
-from .scene import FrequencyPlan, FrequencySweep
+from .scene import FrequencyPlan, FrequencySweep, frequency_grid
 
 _MAG_FLOOR = 1e-12
+
+
+def _above_floor(samples: np.ndarray, plan: FrequencyPlan, error: type[Exception], what: str):
+    """``samples``; ``error`` naming the first frequency where |samples| < 1e-12."""
+    low = np.abs(samples) < _MAG_FLOOR
+    if np.any(low):
+        k = int(np.argmax(low))
+        raise error(f"{what} below 1e-12 at {frequency_grid(plan)[k]:.6e} Hz")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -33,14 +42,8 @@ class SystemResponse:
         if self.extra is not None and self.extra.plan != self.connect.plan:
             raise GridMismatchError("system response: connect and extra grids differ")
         for name, sweep in (("connect", self.connect), ("extra", self.extra)):
-            if sweep is None:
-                continue
-            mags = np.abs(sweep.samples)
-            if np.any(mags < _MAG_FLOOR):
-                k = int(np.argmax(mags < _MAG_FLOOR))
-                raise ValidationError(
-                    f"system response: |{name}| below 1e-12 at {sweep.frequencies[k]:.6e} Hz"
-                )
+            if sweep is not None:
+                _above_floor(sweep.samples, sweep.plan, ValidationError, f"system response: |{name}|")
 
     def extra_samples(self) -> np.ndarray:
         if self.extra is None:
@@ -56,15 +59,10 @@ class SystemResponse:
         """
         if plan != self.connect.plan:
             raise GridMismatchError("calibrate: measurement and system response grids differ")
-        denom = self.extra_samples() * self.connect.samples
-        mags = np.abs(denom)
-        if np.any(mags < _MAG_FLOOR):
-            k = int(np.argmax(mags < _MAG_FLOOR))
-            raise SingularCalibrationError(
-                f"calibration singular: |extra*connect| below 1e-12 at "
-                f"{self.connect.frequencies[k]:.6e} Hz"
-            )
-        return denom
+        return _above_floor(
+            self.extra_samples() * self.connect.samples, plan, SingularCalibrationError,
+            "calibration singular: |extra*connect|",
+        )
 
 
 def calibrate(measured: FrequencySweep, sys: SystemResponse) -> FrequencySweep:

@@ -87,6 +87,19 @@ def _data_row(path: str, k: int):
         raise ValidationError(f"{path}: data row {k + 1}: {exc}") from None
 
 
+def _csv_rows(path: str, first: str, second: str) -> list[dict]:
+    """The data rows of the UTF-8 CSV file ``path``, which has columns ``first`` and ``second``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    if not {first, second} <= set(reader.fieldnames or ()):
+        raise ValidationError(f"{path}: needs columns {first} and {second}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -121,10 +134,11 @@ def _bundle_dirs(root: Path) -> list[Path]:
 
 def _cmd_pipeline(args) -> int:
     scene = load_scene(args.scene)
-    if not scene.nirs_panels:
+    if len(scene.nirs_panels) != 1:
         raise ValidationError(
-            "pipeline needs a scene with a NIRS panel to define the angle set; "
-            "pass the with-NIRS scene file even for without-NIRS bundles"
+            f"{args.scene}: pipeline needs a scene with exactly one NIRS panel to define "
+            f"the angle set, got {len(scene.nirs_panels)}; pass the with-NIRS scene file "
+            "even for without-NIRS bundles"
         )
     sys_resp = None
     if args.connect:
@@ -175,34 +189,20 @@ def _cmd_pipeline(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty samples file")
-        fields = set(reader.fieldnames)
-        angle_col = "reflection_angle_deg"
-        loss_col = "l_ref_db" if "l_ref_db" in fields else "additional_loss_db"
-        if angle_col not in fields or loss_col not in fields:
-            raise ValidationError(
-                f"{path}: needs columns reflection_angle_deg and l_ref_db "
-                "(or additional_loss_db)"
+    groups: dict[tuple[str, str], list[ReflSample]] = {}
+    for k, row in enumerate(_csv_rows(path, "reflection_angle_deg", "l_ref_db")):
+        key = (
+            row.get("scenario") or scenario or "samples",
+            row.get("band") or band or "",
+        )
+        with _data_row(path, k):
+            sample = ReflSample(
+                rx_id=int(row.get("rx_id", k)),
+                reflection_angle_deg=float(row["reflection_angle_deg"]),
+                additional_loss_db=float(row["l_ref_db"]),
+                band_label=key[1],
             )
-        groups: dict[tuple[str, str], list[ReflSample]] = {}
-        for k, row in enumerate(reader):
-            key = (
-                row.get("scenario") or scenario or "samples",
-                row.get("band") or band or "",
-            )
-            with_nirs = str(row.get("with_nirs", "true")).strip().lower() in ("1", "true", "yes")
-            with _data_row(path, k):
-                sample = ReflSample(
-                    rx_id=int(row.get("rx_id", k)),
-                    reflection_angle_deg=float(row[angle_col]),
-                    additional_loss_db=float(row[loss_col]),
-                    with_nirs=with_nirs,
-                    band_label=key[1],
-                )
-            groups.setdefault(key, []).append(sample)
+        groups.setdefault(key, []).append(sample)
     return groups
 
 
@@ -290,20 +290,15 @@ def _cmd_fit(args) -> int:
 # coverage
 # ---------------------------------------------------------------------------
 def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = set(reader.fieldnames or ())
-        if "rx_id" not in fields or "pl_omni_db" not in fields:
-            raise ValidationError(f"{path}: needs columns rx_id and pl_omni_db")
-        values: dict[int, float] = {}
-        for n, row in enumerate(reader):
-            with _data_row(path, n):
-                k, value = int(row["rx_id"]), float(row["pl_omni_db"])
-                if not math.isfinite(value):
-                    raise ValueError(f"pl_omni_db must be finite, got {value}")
-            if k in values:
-                raise ValidationError(f"{path}: rx_id {k} is listed twice")
-            values[k] = value
+    values: dict[int, float] = {}
+    for n, row in enumerate(_csv_rows(path, "rx_id", "pl_omni_db")):
+        with _data_row(path, n):
+            k, value = int(row["rx_id"]), float(row["pl_omni_db"])
+            if not math.isfinite(value):
+                raise ValueError(f"pl_omni_db must be finite, got {value}")
+        if k in values:
+            raise ValidationError(f"{path}: rx_id {k} is listed twice")
+        values[k] = value
     missing = [k for k in range(n_rx) if k not in values]
     if missing:
         raise ValidationError(f"{path}: missing pl_omni_db for rx ids {missing}")
@@ -321,22 +316,21 @@ def _cmd_coverage(args) -> int:
         bandwidth_hz=args.bandwidth_hz,
     )
     thresholds = _parse_range(args.thresholds) if args.thresholds else default_thresholds()
-    pl_with = _read_pl_omni(args.results, scene.n_rx)
-    cmap = interpolate_path_loss(scene.rx_positions, pl_with, resolution_m=args.resolution)
-    curve_with = coverage_curve(cmap, budget, thresholds)
-    ratios_with = [r for _, r in curve_with]
-    ts = [t for t, _ in curve_with]
 
+    def curve(results: str) -> list[tuple[float, float]]:
+        pl = _read_pl_omni(results, scene.n_rx)
+        cmap = interpolate_path_loss(scene.rx_positions, pl, resolution_m=args.resolution)
+        return coverage_curve(cmap, budget, thresholds)
+
+    curve_with = curve(args.results)
     ratios_without = None
     if args.results_without:
-        pl_wo = _read_pl_omni(args.results_without, scene.n_rx)
-        cmap_wo = interpolate_path_loss(
-            scene.rx_positions, pl_wo, resolution_m=args.resolution
-        )
-        ratios_without = [r for _, r in coverage_curve(cmap_wo, budget, thresholds)]
+        ratios_without = [r for _, r in curve(args.results_without)]
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_coverage_csv(args.out, ts, ratios_with, ratios_without)
+    write_coverage_csv(
+        args.out, [t for t, _ in curve_with], [r for _, r in curve_with], ratios_without
+    )
     return 0
 
 

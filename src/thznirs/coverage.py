@@ -33,7 +33,6 @@ class LinkBudget:
     noise_figure_db: float = 10.0
     temperature_k: float = 300.0
     bandwidth_hz: float = 15e9
-    boltzmann: float = BOLTZMANN_W_S_PER_K
 
     def __post_init__(self):
         if not (self.temperature_k > 0):
@@ -42,7 +41,7 @@ class LinkBudget:
             raise ValidationError("link budget: bandwidth must be positive")
 
     def noise_floor_dbm(self) -> float:
-        return 10.0 * math.log10(self.boltzmann * self.temperature_k * self.bandwidth_hz / 1e-3)
+        return 10.0 * math.log10(BOLTZMANN_W_S_PER_K * self.temperature_k * self.bandwidth_hz / 1e-3)
 
 
 def snr_db(budget: LinkBudget, pl_omni_db):

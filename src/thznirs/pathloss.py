@@ -29,24 +29,18 @@ class CiModel:
     """
 
     ple: float
-    reference_distance_m: float = 1.0
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if not (self.ple > 0):
             raise ValidationError("ci model: path-loss exponent must be positive")
-        if not (self.reference_distance_m > 0):
-            raise ValidationError("ci model: reference distance must be positive")
 
 
 def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
-    """Evaluate the CI model; distances below the reference are out of domain."""
-    if d_m < model.reference_distance_m:
-        raise ModelDomainError(
-            f"ci model: distance {d_m} m below the {model.reference_distance_m} m reference"
-        )
-    fspl_ref = 20.0 * math.log10(4.0 * math.pi * model.reference_distance_m * f_hz / model.c)
-    return fspl_ref + 10.0 * model.ple * math.log10(d_m / model.reference_distance_m)
+    """Evaluate the CI model; distances below d0 = 1 m are out of domain."""
+    if d_m < 1.0:
+        raise ModelDomainError(f"ci model: distance {d_m} m below the 1.0 m reference")
+    fspl_ref = 20.0 * math.log10(4.0 * math.pi * f_hz / SPEED_OF_LIGHT)
+    return fspl_ref + 10.0 * model.ple * math.log10(d_m)
 
 
 def _linear_power_sum(pdap: Pdap, el_idx: np.ndarray, az_idx: np.ndarray) -> float:

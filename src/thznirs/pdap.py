@@ -71,6 +71,13 @@ def _power_db(samples: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(mags)
 
 
+def _threshold(power_db: np.ndarray, noise_threshold_db: float) -> np.ndarray:
+    """``power_db`` with every entry below the threshold set to the sentinel."""
+    if not (noise_threshold_db > SENTINEL_DB):
+        raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
+    return np.where(power_db < noise_threshold_db, SENTINEL_DB, power_db)
+
+
 def pdap_from_sweeps(
     sweeps: np.ndarray,
     grid: ScanGrid,
@@ -82,13 +89,10 @@ def pdap_from_sweeps(
     The delay axis is labelled in steps of 1 / span_hz, the nominal time
     resolution of the sweep.  Entries below the threshold become the sentinel.
     """
-    if noise_threshold_db <= SENTINEL_DB:
-        raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
     h = cir_array(sweeps)
     power = _power_db(h)
-    power = np.where(power < noise_threshold_db, SENTINEL_DB, power)
     return Pdap(
-        power_db=power,
+        power_db=_threshold(power, noise_threshold_db),
         noise_threshold_db=noise_threshold_db,
         grid=grid,
         delay_step_s=1.0 / span_hz,
@@ -97,18 +101,15 @@ def pdap_from_sweeps(
 
 def eliminate_noise(pdap: Pdap, noise_threshold_db: float) -> Pdap:
     """Idempotent re-thresholding; the stored threshold only ever rises."""
-    if noise_threshold_db <= SENTINEL_DB:
-        raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
-    power = np.where(pdap.power_db < noise_threshold_db, SENTINEL_DB, pdap.power_db)
     return replace(
         pdap,
-        power_db=power,
+        power_db=_threshold(pdap.power_db, noise_threshold_db),
         noise_threshold_db=max(pdap.noise_threshold_db, noise_threshold_db),
     )
 
 
-def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
-    """CSV of surviving entries plus a JSON sidecar with the metadata.
+def export_pdap_csv(pdap: Pdap, path) -> None:
+    """CSV of surviving entries plus a ``.json`` sidecar beside it with the metadata.
 
     Sentinel rows are omitted.  Column order follows the cube layout:
     elevation, azimuth, delay.
@@ -126,7 +127,6 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
                 delay_ns = k * pdap.delay_step_s * 1e9
                 lines.append(f"{el[i]:g},{az[j]:g},{delay_ns:.6g},{p:.6g}")
     atomic_write(path, "\n".join(lines) + "\n")
-    sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".json")
     meta = {
         "scan_grid": grid_to_json(pdap.grid),
         "noise_threshold_db": pdap.noise_threshold_db,
@@ -134,4 +134,4 @@ def export_pdap_csv(pdap: Pdap, path, sidecar_path=None) -> None:
         "delay_step_s": pdap.delay_step_s,
         "n_delay": pdap.n_delay,
     }
-    atomic_write(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(path.with_suffix(".json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")

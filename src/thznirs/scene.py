@@ -159,9 +159,9 @@ class ScanGrid:
             raise ValidationError("scan grid: azimuth angles must be strictly increasing")
         if not _strictly_increasing(el):
             raise ValidationError("scan grid: elevation angles must be strictly increasing")
-        if az[0] < 0.0 or az[-1] >= 360.0:
+        if not (0.0 <= az[0] and az[-1] < 360.0):  # NaN fails too
             raise ValidationError("scan grid: azimuth must lie in [0, 360)")
-        if el[0] < -90.0 or el[-1] > 90.0:
+        if not (-90.0 <= el[0] and el[-1] <= 90.0):
             raise ValidationError("scan grid: elevation must lie in [-90, 90]")
         object.__setattr__(self, "azimuth_deg", az)
         object.__setattr__(self, "elevation_deg", el)
@@ -211,15 +211,12 @@ class AntennaPattern:
 
     boresight_gain_dbi: float
     hpbw_deg: float
-    model: str = "gaussian-mainlobe"
 
     def __post_init__(self):
         if not math.isfinite(self.boresight_gain_dbi):
             raise ValidationError("antenna pattern: boresight gain must be finite")
         if not (0.0 < self.hpbw_deg < 180.0):
             raise ValidationError("antenna pattern: hpbw must lie in (0, 180) degrees")
-        if self.model != "gaussian-mainlobe":
-            raise ValidationError("antenna pattern: unknown model")
 
     def gain_dbi(self, theta_deg):
         theta = np.asarray(theta_deg, dtype=float)
@@ -255,10 +252,10 @@ class LossTable:
         angles = [a for a, _ in pts]
         if not _strictly_increasing(angles):
             raise SceneValidationError("loss table: angles must be strictly increasing")
-        if angles[0] < 0.0 or angles[-1] > 90.0:
+        if not (0.0 <= angles[0] and angles[-1] <= 90.0):  # NaN fails too
             raise SceneValidationError("loss table: angles must lie in [0, 90]")
-        if any(l < 0.0 for _, l in pts):
-            raise SceneValidationError("loss table: material_loss must be >= 0 dB")
+        if not all(0.0 <= l < math.inf for _, l in pts):
+            raise SceneValidationError("loss table: material_loss must be finite and >= 0 dB")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -309,6 +306,7 @@ class Rectangle:
         c = np.array(self.corners, dtype=float)
         if c.shape != (4, 3):
             raise SceneValidationError("rectangle: needs exactly 4 corner points in 3-D")
+        c = np.array([_vec3(p, "rectangle corner") for p in c])
         u = c[1] - c[0]
         v = c[3] - c[0]
         lu, lv = np.linalg.norm(u), np.linalg.norm(v)
@@ -463,31 +461,19 @@ class NirsPanel:
                     )
             object.__setattr__(self, "active_cells", cells)
 
-    @property
-    def n_rows(self) -> int:
-        return self.subdivision[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.subdivision[1]
-
-    def active(self) -> frozenset[tuple[int, int]]:
-        if self.active_cells is None:
-            return frozenset(
-                (r, c) for r in range(self.n_rows) for c in range(self.n_cols)
-            )
-        return self.active_cells
-
-    def cell_rectangle(self, row: int, col: int) -> Rectangle:
+    def active_rectangles(self) -> list[tuple[tuple[int, int], Rectangle]]:
+        """((row, col), sub-panel rectangle) of every active cell, in (row, col) order."""
         rect = self.rectangle
         rows, cols = self.subdivision
-        o = rect.origin + rect.u * (col / cols) + rect.v * (row / rows)
-        u = rect.u / cols
-        v = rect.v / rows
-        return Rectangle(corners=np.array([o, o + u, o + u + v, o + v]))
-
-    def active_rectangles(self) -> list[tuple[tuple[int, int], Rectangle]]:
-        return [((r, c), self.cell_rectangle(r, c)) for r, c in sorted(self.active())]
+        cells = self.active_cells
+        if cells is None:
+            cells = [(r, c) for r in range(rows) for c in range(cols)]
+        u, v = rect.u / cols, rect.v / rows
+        out = []
+        for r, c in sorted(cells):
+            o = rect.origin + rect.u * (c / cols) + rect.v * (r / rows)
+            out.append(((r, c), Rectangle(corners=np.array([o, o + u, o + u + v, o + v]))))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +506,11 @@ class Scene:
         object.__setattr__(self, "walls", tuple(self.walls))
         object.__setattr__(self, "nirs_panels", tuple(self.nirs_panels))
         object.__setattr__(self, "tx_position", _vec3(self.tx_position, "tx position"))
-        object.__setattr__(self, "tx_boresight", _readonly(_unit(np.asarray(self.tx_boresight, dtype=float))))
+        object.__setattr__(self, "tx_boresight", _readonly(_unit(_vec3(self.tx_boresight, "tx boresight"))))
         rx = np.array(self.rx_positions, dtype=float)
         if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
             raise SceneValidationError("scene: rx positions must be an (n, 3) array, n >= 1")
-        rx.setflags(write=False)
-        object.__setattr__(self, "rx_positions", rx)
+        object.__setattr__(self, "rx_positions", _readonly([_vec3(p, "rx position") for p in rx]))
 
     @property
     def n_rx(self) -> int:
@@ -549,12 +534,11 @@ class Scene:
                 out.append(Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss))
         return out
 
-    def with_panel_cells(self, active: Iterable[tuple[int, int]] | None, panel_index: int = 0) -> "Scene":
-        """Same scene with panel ``panel_index`` restricted to the given cells."""
-        panels = list(self.nirs_panels)
+    def with_panel_cells(self, active: Iterable[tuple[int, int]] | None) -> "Scene":
+        """Same scene with panel 0 restricted to the given cells (None: all)."""
         cells = None if active is None else frozenset(active)
-        panels[panel_index] = replace(panels[panel_index], active_cells=cells)
-        return replace(self, nirs_panels=tuple(panels))
+        first = replace(self.nirs_panels[0], active_cells=cells)
+        return replace(self, nirs_panels=(first,) + self.nirs_panels[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +581,15 @@ def _azimuth_angle_to_normal(direction: np.ndarray, normal: np.ndarray) -> float
     return math.degrees(math.acos(min(1.0, c)))
 
 
-def specular_point(scene: Scene, rx_index: int, panel_index: int = 0) -> np.ndarray:
-    """Specular reflection point of Tx -> panel -> Rx on the panel rectangle.
+def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
+    """Specular reflection point of Tx -> panel 0 -> Rx on the panel rectangle.
 
     Raises NoSpecularGeometryError when the mirror construction misses the
     panel or Tx and Rx sit on opposite sides of its plane.
     """
     if not scene.nirs_panels:
         raise SceneValidationError("scene has no NIRS panel")
-    panel = RectangleStack.of([scene.nirs_panels[panel_index].rectangle])
+    panel = RectangleStack.of([scene.nirs_panels[0].rectangle])
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     side_tx, side_rx = _dot(np.stack([tx, rx]) - panel.origin, panel.normal)
@@ -622,10 +606,8 @@ def specular_point(scene: Scene, rx_index: int, panel_index: int = 0) -> np.ndar
     return point[0]
 
 
-def rx_link_geometry(
-    scene: Scene, rx_index: int, panel_index: int = 0
-) -> tuple[float, bool, float, float]:
-    """(reflection angle deg, specular?, d1 Tx->point, d2 point->Rx).
+def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, float]:
+    """(reflection angle deg, specular?, d1 Tx->point, d2 point->Rx) via panel 0.
 
     The angle is the azimuth-plane angle between the reflected direction and
     the panel normal at the specular point, in [0, 90) degrees; elevation
@@ -635,9 +617,9 @@ def rx_link_geometry(
     """
     if not scene.nirs_panels:
         raise SceneValidationError("scene has no NIRS panel")
-    rect = scene.nirs_panels[panel_index].rectangle
+    rect = scene.nirs_panels[0].rectangle
     try:
-        point = specular_point(scene, rx_index, panel_index)
+        point = specular_point(scene, rx_index)
         spec = True
         phi = _azimuth_angle_to_normal(scene.rx_position(rx_index) - point, rect.normal)
     except NoSpecularGeometryError:
@@ -843,10 +825,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    with json_errors(path, SceneValidationError):
-        return scene_from_dict(json.loads(text), source=path)
+    with open(path, "r", encoding="utf-8") as fh, json_errors(path, SceneValidationError):
+        return scene_from_dict(json.loads(fh.read()), source=path)
 
 
 def save_scene(scene: Scene, path) -> None:

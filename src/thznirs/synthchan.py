@@ -256,21 +256,19 @@ def rx_gain_matrix(
 def synthesize_sweep(
     scene: Scene,
     rx_index: int,
-    plan: FrequencyPlan | None = None,
-    grid: ScanGrid | None = None,
     max_bounces: int = 2,
     scenario_id: str = "synthetic",
 ) -> SweepBundle:
-    """Synthesize the per-direction channel transfer functions for one Rx.
+    """Synthesize the per-direction channel transfer functions for one Rx on
+    the scene's frequency plan and scan grid.
 
     Every path delay must stay below 1/f_step (the unambiguous delay range);
     a longer path raises AliasingError naming the offending path rather than
     wrapping around silently.
     """
-    plan = plan or scene.frequency_plan
+    plan, grid = scene.frequency_plan, scene.scan_grid
     if plan is None:
-        raise ValidationError("synthesize_sweep: no frequency plan given")
-    grid = grid or scene.scan_grid
+        raise ValidationError("synthesize_sweep: the scene has no frequency plan")
 
     paths = enumerate_paths(scene, rx_index, max_bounces=max_bounces)
     limit = 1.0 / plan.f_step_hz
@@ -325,17 +323,19 @@ def read_sweep_csv(path, plan: FrequencyPlan | None = None) -> FrequencySweep:
     path = Path(path)
     if not path.exists():
         raise BundleFormatError(f"missing sweep file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != SWEEP_CSV_HEADER:
-            raise BundleFormatError(
-                f"{path}: header must be exactly '{SWEEP_CSV_HEADER}', got '{header}'"
-            )
-        rows = list(csv.reader(fh))
     try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if header != SWEEP_CSV_HEADER:
+                raise BundleFormatError(
+                    f"{path}: header must be exactly '{SWEEP_CSV_HEADER}', got '{header}'"
+                )
+            rows = list(csv.reader(fh))
         freqs = np.array([float(r[0]) for r in rows])
         samples = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    except (IndexError, ValueError) as exc:
+    except BundleFormatError:
+        raise
+    except (IndexError, ValueError) as exc:  # a decode error is a ValueError too
         raise BundleFormatError(f"{path}: malformed row ({exc})") from exc
     if freqs.shape[0] < 2:
         raise BundleFormatError(f"{path}: needs at least 2 rows")
@@ -408,9 +408,8 @@ def read_bundle(dirpath) -> SweepBundle:
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise BundleFormatError(f"missing bundle manifest: {manifest_path}")
-    text = manifest_path.read_text(encoding="utf-8")
     with json_errors(manifest_path, BundleFormatError):
-        raw = json.loads(text)
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
         plan = plan_from_json(raw["frequency_plan"])
         grid = grid_from_json(raw["scan_grid"])
         manifest = BundleManifest(

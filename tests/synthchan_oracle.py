@@ -83,9 +83,9 @@ def intersect_segment(rect: Rectangle, p, q, lo: float = 0.0, hi: float = 1.0):
     return None
 
 
-def specular_point(scene: Scene, rx_index: int, panel_index: int = 0) -> np.ndarray:
-    """Specular reflection point of Tx -> panel -> Rx on the panel rectangle."""
-    rect = scene.nirs_panels[panel_index].rectangle
+def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
+    """Specular reflection point of Tx -> panel 0 -> Rx on the panel rectangle."""
+    rect = scene.nirs_panels[0].rectangle
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     side_tx = float(np.dot(tx - rect.origin, rect.normal))

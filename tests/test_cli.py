@@ -156,6 +156,125 @@ def test_malformed_scene_file_names_file_and_key(tmp_path, capsys, case):
     assert reason in err
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_SCENES = {
+    "nan_boresight": (lambda d: d["tx"].update(boresight=[NAN, 1.0, 0.0]), "tx boresight"),
+    "nan_wall_loss": (lambda d: d["walls"][0].update(material_loss_db=NAN), "material_loss"),
+    "inf_panel_loss": (
+        lambda d: d["nirs_panels"][0].update(material_loss_db=INF), "material_loss"
+    ),
+    "nan_loss_table_angle": (
+        lambda d: d["walls"][1].update(material_loss_db=[[NAN, 12.0]]), "angles"
+    ),
+    "nan_rx_position": (lambda d: d["rx"]["positions"][2].__setitem__(0, NAN), "rx position"),
+    "inf_wall_corner": (lambda d: d["walls"][2]["corners"][1].__setitem__(2, INF), "corner"),
+    "nan_scan_elevation": (lambda d: d["scan_grid"].update(elevation_deg=[NAN]), "elevation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SCENES))
+def test_non_finite_scene_number_exits_2(tmp_path, capsys, case):
+    spoil, reason = NON_FINITE_SCENES[case]
+    data = json.loads(Path(SCENES, "corridor_mini.json").read_text())
+    spoil(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # writes NaN and Infinity, which json reads back
+    out = tmp_path / "x"
+    rc = main(["synth", "--scene", str(bad), "--out", str(out), "--max-bounces", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err
+    assert not out.exists()
+
+
+def _utf16(path: Path) -> Path:
+    """Re-encode a text file as UTF-16 with its byte-order mark (0xff 0xfe)."""
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-16")
+    return path
+
+
+def _utf16_scene(tmp_path):
+    scene = tmp_path / "scene.json"
+    shutil.copy(Path(SCENES, "corridor_mini.json"), scene)
+    return _utf16(scene), ["synth", "--scene", str(scene), "--out", str(tmp_path / "o")]
+
+
+def _rx0_bundle(tmp_path) -> Path:
+    bundles = tmp_path / "b"
+    assert main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(bundles),
+                 "--rx-index", "0", "--max-bounces", "0"]) == 0
+    return bundles
+
+
+def _utf16_manifest(tmp_path):
+    scene, bundles = f"{SCENES}/corridor_mini.json", _rx0_bundle(tmp_path)
+    return _utf16(bundles / "rx000" / "manifest.json"), [
+        "pipeline", "--scene", scene, "--bundle", str(bundles), "--out", str(tmp_path / "o")
+    ]
+
+
+def _utf16_sweep_csv(tmp_path):
+    scene, bundles = f"{SCENES}/corridor_mini.json", _rx0_bundle(tmp_path)
+    connect = tmp_path / "connect.csv"
+    write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), connect)
+    return _utf16(connect), ["pipeline", "--scene", scene, "--bundle", str(bundles),
+                             "--connect", str(connect), "--out", str(tmp_path / "o")]
+
+
+def _utf16_samples(tmp_path):
+    samples = tmp_path / "s.csv"
+    rows = [f"{k},{5 + 10 * k},{10 + k}" for k in range(8)]
+    samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n" + "\n".join(rows) + "\n")
+    return _utf16(samples), ["fit", "--samples", str(samples), "--out", str(tmp_path / "o")]
+
+
+def _utf16_results(tmp_path):
+    scene = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "r.csv"
+    _write_results(results, scene, [105.0] * 9)
+    return _utf16(results), ["coverage", "--scene", scene, "--results", str(results),
+                             "--out", str(tmp_path / "o")]
+
+
+UTF16_INPUTS = {
+    "scene": _utf16_scene,
+    "manifest": _utf16_manifest,
+    "sweep_csv": _utf16_sweep_csv,
+    "samples_csv": _utf16_samples,
+    "results_csv": _utf16_results,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(UTF16_INPUTS))
+def test_input_not_utf8_names_the_file(tmp_path, capsys, reader):
+    named, argv = UTF16_INPUTS[reader](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
+    assert "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pipeline_rejects_a_second_panel(tmp_path, capsys):
+    data = json.loads(Path(SCENES, "corridor_mini.json").read_text())
+    data["nirs_panels"].append(dict(data["nirs_panels"][0], active_cells=[[0, 0]]))
+    scene = tmp_path / "two_panels.json"
+    scene.write_text(json.dumps(data))
+    bundles = tmp_path / "b"
+    assert main(["synth", "--scene", str(scene), "--out", str(bundles), "--rx-index", "0",
+                 "--max-bounces", "1"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    rc = main(["pipeline", "--scene", str(scene), "--bundle", str(bundles), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene}: pipeline needs a scene with exactly one NIRS panel")
+    assert "got 2;" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_scene_file_not_json_names_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -419,6 +538,19 @@ def test_fit_short_sample_row_names_file_and_row(tmp_path, capsys):
     rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {samples}: data row 2: ")
+
+
+def test_fit_samples_need_the_l_ref_column(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    rows = [f"{k},{5 + 10 * k},{10 + k}" for k in range(8)]
+    samples.write_text("rx_id,reflection_angle_deg,additional_loss_db\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {samples}: needs columns reflection_angle_deg and l_ref_db\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
