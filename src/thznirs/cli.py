@@ -105,13 +105,9 @@ def _csv_rows(path: str, first: str, second: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 def _cmd_synth(args) -> int:
     scene = load_scene(args.scene)
-    scenario = args.scenario or Path(args.scene).stem
+    scenario = Path(args.scene).stem
     out = Path(args.out)
-    rx_indices = [args.rx_index] if args.rx_index is not None else list(range(scene.n_rx))
-    for k in rx_indices:
-        if not (0 <= k < scene.n_rx):
-            raise ValidationError(f"rx index {k} out of range (scene has {scene.n_rx})")
-
+    rx_indices = [args.rx_index] if args.rx_index is not None else range(scene.n_rx)
     for k in rx_indices:
         bundle = synthesize_sweep(
             scene, k, max_bounces=args.max_bounces, scenario_id=scenario
@@ -140,6 +136,8 @@ def _cmd_pipeline(args) -> int:
             f"the angle set, got {len(scene.nirs_panels)}; pass the with-NIRS scene file "
             "even for without-NIRS bundles"
         )
+    if args.extra and not args.connect:
+        raise ValidationError("--extra needs --connect")
     sys_resp = None
     if args.connect:
         connect = read_sweep_csv(args.connect)
@@ -307,20 +305,12 @@ def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
 
 def _cmd_coverage(args) -> int:
     scene = load_scene(args.scene)
-    budget = LinkBudget(
-        p_t_dbm=args.ptx_dbm,
-        g_t_dbi=args.gt_dbi,
-        g_r_dbi=args.gr_dbi,
-        noise_figure_db=args.noise_figure_db,
-        temperature_k=args.temperature_k,
-        bandwidth_hz=args.bandwidth_hz,
-    )
+    budget = LinkBudget()
     thresholds = _parse_range(args.thresholds) if args.thresholds else default_thresholds()
 
     def curve(results: str) -> list[tuple[float, float]]:
         pl = _read_pl_omni(results, scene.n_rx)
-        cmap = interpolate_path_loss(scene.rx_positions, pl, resolution_m=args.resolution)
-        return coverage_curve(cmap, budget, thresholds)
+        return coverage_curve(interpolate_path_loss(scene.rx_positions, pl), budget, thresholds)
 
     curve_with = curve(args.results)
     ratios_without = None
@@ -349,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rx-index", type=int, default=None)
     p.add_argument("--max-bounces", type=int, default=2)
-    p.add_argument("--scenario", default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("pipeline", help="bundles -> calibration -> PDAP -> path losses")
@@ -378,13 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True)
     p.add_argument("--results-without", default=None)
     p.add_argument("--thresholds", default=None, metavar="START:STEP:STOP")
-    p.add_argument("--resolution", type=float, default=0.05)
-    p.add_argument("--ptx-dbm", type=float, default=13.0)
-    p.add_argument("--gt-dbi", type=float, default=25.0)
-    p.add_argument("--gr-dbi", type=float, default=25.0)
-    p.add_argument("--noise-figure-db", type=float, default=10.0)
-    p.add_argument("--temperature-k", type=float, default=300.0)
-    p.add_argument("--bandwidth-hz", type=float, default=15e9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_coverage)
 
@@ -396,10 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ThzNirsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ThzNirsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

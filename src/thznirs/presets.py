@@ -36,10 +36,10 @@ PLAN_356_371 = FrequencyPlan(f_start_hz=356e9, f_stop_hz=371e9, f_step_hz=2.5e6)
 # Narrow-band variants for fast file-based runs; same 2.5 MHz step, so the
 # 400 ns unambiguous delay range is unchanged.
 PLAN_MINI_306 = FrequencyPlan(f_start_hz=306e9, f_stop_hz=306.25e9, f_step_hz=2.5e6)
-PLAN_MINI_356 = FrequencyPlan(f_start_hz=356e9, f_stop_hz=356.25e9, f_step_hz=2.5e6)
 
-DEFAULT_WALL_LOSS_DB = 12.0
+_WALL_LOSS_DB = 12.0
 DEFAULT_PANEL_LOSS_DB = 1.0
+_WALL_HEIGHT_M = 3.0
 _PANEL_STANDOFF_M = 0.005
 
 # Orientation of the corridor scene; chosen so that receiver point 1 sees
@@ -77,11 +77,9 @@ def _l_scene(
     plan: FrequencyPlan,
     grid: ScanGrid,
     nirs: bool,
-    wall_loss_db: float,
     panel_loss_db: float,
     panel_active,
     rot_deg: float,
-    wall_height: float = 3.0,
 ) -> Scene:
     """Chamfered L: Tx leg along +x (y in [0, width]), Rx leg along +y.
 
@@ -107,8 +105,8 @@ def _l_scene(
     ]
     walls = tuple(
         Wall(
-            rectangle=place(_vertical_wall(p0, p1, 0.0, wall_height)),
-            material_loss=LossTable.constant(wall_loss_db),
+            rectangle=place(_vertical_wall(p0, p1, 0.0, _WALL_HEIGHT_M)),
+            material_loss=LossTable.constant(_WALL_LOSS_DB),
         )
         for p0, p1 in walls_xy
     )
@@ -148,7 +146,6 @@ def corridor_scene(
     nirs: bool = True,
     plan: FrequencyPlan = PLAN_306_321,
     grid: ScanGrid | None = None,
-    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
     panel_loss_db: float = DEFAULT_PANEL_LOSS_DB,
     panel_active="all",
 ) -> Scene:
@@ -171,7 +168,6 @@ def corridor_scene(
         plan=plan,
         grid=grid or ScanGrid.default(),
         nirs=nirs,
-        wall_loss_db=wall_loss_db,
         panel_loss_db=panel_loss_db,
         panel_active=panel_active,
         rot_deg=_CORRIDOR_ROT_DEG,
@@ -182,7 +178,6 @@ def hallway_scene(
     nirs: bool = True,
     plan: FrequencyPlan = PLAN_306_321,
     grid: ScanGrid | None = None,
-    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
     panel_loss_db: float = DEFAULT_PANEL_LOSS_DB,
     panel_active="all",
 ) -> Scene:
@@ -202,7 +197,6 @@ def hallway_scene(
         plan=plan,
         grid=grid or ScanGrid.default(),
         nirs=nirs,
-        wall_loss_db=wall_loss_db,
         panel_loss_db=panel_loss_db,
         panel_active=panel_active,
         rot_deg=0.0,

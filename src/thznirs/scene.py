@@ -29,6 +29,7 @@ from .errors import (
     ThzNirsError,
     ValidationError,
 )
+from .fileio import atomic_write
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -638,11 +639,15 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
 def json_errors(source, error: type[ThzNirsError]):
     """Re-raise any fault met while reading ``source``'s JSON as ``error`` naming it.
 
-    Toolkit errors already say what is wrong and pass through unchanged.
+    A toolkit error keeps its type and gains the ``source`` prefix once, so
+    nested readers of the same file name it a single time.
     """
+    prefix = f"{source}: "
     try:
         yield
-    except ThzNirsError:
+    except ThzNirsError as exc:
+        if not str(exc).startswith(prefix):
+            exc.args = (prefix + str(exc),)
         raise
     except Exception as exc:
         if isinstance(exc, json.JSONDecodeError):
@@ -651,7 +656,7 @@ def json_errors(source, error: type[ThzNirsError]):
             reason = f"missing key {exc}"
         else:
             reason = str(exc)
-        raise error(f"{source}: {reason}") from exc
+        raise error(prefix + reason) from exc
 
 
 def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
@@ -830,6 +835,4 @@ def load_scene(path) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n")

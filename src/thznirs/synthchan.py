@@ -337,6 +337,10 @@ def read_sweep_csv(path, plan: FrequencyPlan | None = None) -> FrequencySweep:
         raise
     except (IndexError, ValueError) as exc:  # a decode error is a ValueError too
         raise BundleFormatError(f"{path}: malformed row ({exc})") from exc
+    finite = np.isfinite(freqs) & np.isfinite(samples)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise BundleFormatError(f"{path}: data row {k + 1}: frequency and sample must be finite")
     if freqs.shape[0] < 2:
         raise BundleFormatError(f"{path}: needs at least 2 rows")
     if np.any(np.diff(freqs) <= 0):
@@ -394,6 +398,8 @@ def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
         raise BundleFormatError(f"{path}: dtype must be complex128, got {sweeps.dtype}")
     if sweeps.shape != shape:
         raise BundleFormatError(f"{path}: shape must be {shape}, got {sweeps.shape}")
+    if not np.isfinite(sweeps).all():
+        raise BundleFormatError(f"{path}: every value must be finite")
     return sweeps
 
 

@@ -109,7 +109,7 @@ def test_synth_rejects_nonplanar_wall(tmp_path, capsys):
     rc = main(["synth", "--scene", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1
     assert "coplanarity" in err
 
 
@@ -183,7 +183,8 @@ def test_non_finite_scene_number_exits_2(tmp_path, capsys, case):
     rc = main(["synth", "--scene", str(bad), "--out", str(out), "--max-bounces", "1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1
+    assert err.count("\n") == 1
     assert reason in err
     assert not out.exists()
 
@@ -273,6 +274,21 @@ def test_pipeline_rejects_a_second_panel(tmp_path, capsys):
     assert err.startswith(f"error: {scene}: pipeline needs a scene with exactly one NIRS panel")
     assert "got 2;" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_manifest_bad_frequency_plan_names_the_file(tmp_path, capsys):
+    bundles = _rx0_bundle(tmp_path)
+    manifest = bundles / "rx000" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["frequency_plan"]["f_stop_hz"] = raw["frequency_plan"]["f_start_hz"] - 1e9
+    manifest.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(bundles),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and err.count(str(manifest)) == 1
+    assert err.count("\n") == 1
 
 
 def test_scene_file_not_json_names_file(tmp_path, capsys):
@@ -430,6 +446,68 @@ def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
     pl_plain = float(plain.read_text().splitlines()[1].split(",")[2])
     pl_degained = float(degained.read_text().splitlines()[1].split(",")[2])
     assert pl_degained - pl_plain == pytest.approx(32.0, abs=0.01)
+
+
+def test_pipeline_extra_needs_connect(tmp_path, capsys):
+    bundles = _rx0_bundle(tmp_path)
+    extra = tmp_path / "extra.csv"
+    write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), extra)
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    rc = main(["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(bundles),
+               "--extra", str(extra), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --extra needs --connect\n"
+    assert not out.exists()
+
+
+def _spoil_sweep_csv(tmp_path, name, column, value):
+    """Calibration fixtures for rx 0 with ``value`` in ``column`` of data row 6 of ``name``."""
+    n = PLAN_MINI_306.point_count
+    for fixture in ("connect", "extra"):
+        write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(n)), tmp_path / f"{fixture}.csv")
+    path = tmp_path / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[6].split(",")
+    fields[column] = value
+    lines[6] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return path, "data row 6: frequency and sample must be finite"
+
+
+def _spoil_sweeps_npy(tmp_path, bundles, value):
+    path = bundles / "rx000" / "sweeps.npy"
+    sweeps = np.load(path)
+    sweeps[0, 1, 5] = complex(value)
+    np.save(path, sweeps)
+    return path, "every value must be finite"
+
+
+NON_FINITE_SWEEPS = {
+    "connect_sample_nan": lambda t, b: _spoil_sweep_csv(t, "connect", 1, "nan"),
+    "connect_frequency_inf": lambda t, b: _spoil_sweep_csv(t, "connect", 0, "inf"),
+    "extra_sample_inf": lambda t, b: _spoil_sweep_csv(t, "extra", 2, "-inf"),
+    "sweeps_npy_nan": lambda t, b: _spoil_sweeps_npy(t, b, "nan"),
+    "sweeps_npy_inf": lambda t, b: _spoil_sweeps_npy(t, b, "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SWEEPS))
+def test_pipeline_non_finite_sweep_names_the_file(tmp_path, capsys, case):
+    bundles = _rx0_bundle(tmp_path)
+    named, reason = NON_FINITE_SWEEPS[case](tmp_path, bundles)
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    argv = ["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(bundles),
+            "--out", str(out)]
+    if case.startswith(("connect", "extra")):
+        argv += ["--connect", str(tmp_path / "connect.csv"), "--extra", str(tmp_path / "extra.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {named}: {reason}\n"
+    assert not out.exists()
 
 
 def test_pipeline_byte_determinism(tmp_path, mini_scene_file):
@@ -896,6 +974,15 @@ def test_one_group_fit_starts_no_pool(tmp_path, monkeypatch):
 def test_cli_import_loads_no_pool_machinery():
     code = ("import sys, thznirs.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_coverage_import_loads_no_synthesizer_or_fitter():
+    code = ("import sys, thznirs.coverage; "
+            "print([m for m in ('thznirs.synthchan', 'thznirs.reflfit') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
+import ast
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,3 +81,33 @@ def test_concurrent_writers_of_one_target_do_not_collide(tmp_path):
     assert errors == []
     assert target.read_text() in payloads
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """Lines that open a file for writing or call ``write_text``/``write_bytes``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_fileio_writes_files():
+    package = Path(fileio.__file__).parent
+    writers = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "fileio.py"
+        and (lines := _file_writes(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert writers == {}
+    assert _file_writes(ast.parse(Path(fileio.__file__).read_text(encoding="utf-8")))
