@@ -12,18 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, SingularCalibrationError, ValidationError
+from .errors import ValidationError
 from .scene import FrequencyPlan, FrequencySweep, frequency_grid
 
 _MAG_FLOOR = 1e-12
 
 
-def _above_floor(samples: np.ndarray, plan: FrequencyPlan, error: type[Exception], what: str):
-    """``samples``; ``error`` naming the first frequency where |samples| < 1e-12."""
+def _above_floor(samples: np.ndarray, plan: FrequencyPlan, what: str):
+    """``samples``; ValidationError naming the first frequency where |samples| < 1e-12."""
     low = np.abs(samples) < _MAG_FLOOR
     if np.any(low):
         k = int(np.argmax(low))
-        raise error(f"{what} below 1e-12 at {frequency_grid(plan)[k]:.6e} Hz")
+        raise ValidationError(f"{what} below 1e-12 at {frequency_grid(plan)[k]:.6e} Hz")
     return samples
 
 
@@ -40,10 +40,10 @@ class SystemResponse:
 
     def __post_init__(self):
         if self.extra is not None and self.extra.plan != self.connect.plan:
-            raise GridMismatchError("system response: connect and extra grids differ")
+            raise ValidationError("system response: connect and extra grids differ")
         for name, sweep in (("connect", self.connect), ("extra", self.extra)):
             if sweep is not None:
-                _above_floor(sweep.samples, sweep.plan, ValidationError, f"system response: |{name}|")
+                _above_floor(sweep.samples, sweep.plan, f"system response: |{name}|")
 
     def extra_samples(self) -> np.ndarray:
         if self.extra is None:
@@ -53,16 +53,14 @@ class SystemResponse:
     def divisor(self, plan: FrequencyPlan) -> np.ndarray:
         """extra[k] * connect[k]: what a measurement on ``plan`` is divided by.
 
-        Raises GridMismatchError unless ``plan`` is the system response's
-        grid, and SingularCalibrationError, naming the frequency, where the
-        product's magnitude is below 1e-12.
+        Raises ValidationError unless ``plan`` is the system response's
+        grid, or, naming the frequency, where the product's magnitude is
+        below 1e-12.
         """
         if plan != self.connect.plan:
-            raise GridMismatchError("calibrate: measurement and system response grids differ")
-        return _above_floor(
-            self.extra_samples() * self.connect.samples, plan, SingularCalibrationError,
-            "calibration singular: |extra*connect|",
-        )
+            raise ValidationError("calibrate: measurement and system response grids differ")
+        product = self.extra_samples() * self.connect.samples
+        return _above_floor(product, plan, "calibration singular: |extra*connect|")
 
 
 def calibrate(measured: FrequencySweep, sys: SystemResponse) -> FrequencySweep:
@@ -75,7 +73,7 @@ def calibrate(measured: FrequencySweep, sys: SystemResponse) -> FrequencySweep:
 def apply_system(channel: FrequencySweep, sys: SystemResponse) -> FrequencySweep:
     """Inverse of calibrate: measured[k] = channel[k] * extra[k] * connect[k]."""
     if channel.plan != sys.connect.plan:
-        raise GridMismatchError("apply_system: channel and system response grids differ")
+        raise ValidationError("apply_system: channel and system response grids differ")
     return FrequencySweep(
         plan=channel.plan,
         samples=channel.samples * sys.extra_samples() * sys.connect.samples,

@@ -27,6 +27,7 @@ from .coverage import (
     write_coverage_csv,
 )
 from .errors import ThzNirsError, ValidationError
+from .fileio import open_csv, parse_rows
 from .pathloss import (
     CiModel,
     RxPathLossRow,
@@ -78,26 +79,13 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValidationError(f"range '{spec}': {exc}") from None
 
 
-@contextmanager
-def _data_row(path: str, k: int):
-    """Report a bad value in CSV data row ``k`` (0-based) naming the file and row."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:  # a short row reads as None
-        raise ValidationError(f"{path}: data row {k + 1}: {exc}") from None
-
-
-def _csv_rows(path: str, first: str, second: str) -> list[dict]:
-    """The data rows of the UTF-8 CSV file ``path``, which has columns ``first`` and ``second``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _csv_rows(path: str, first: str, second: str, parse) -> list:
+    """``parse(k, row)`` of each dict row of CSV ``path``, which needs ``first`` and ``second``."""
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
-        try:
-            rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    if not {first, second} <= set(reader.fieldnames or ()):
-        raise ValidationError(f"{path}: needs columns {first} and {second}")
-    return rows
+        if not {first, second} <= set(reader.fieldnames or ()):
+            raise ValidationError(f"{path}: needs columns {first} and {second}")
+        return parse_rows(path, list(reader), parse)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +95,8 @@ def _cmd_synth(args) -> int:
     scene = load_scene(args.scene)
     scenario = Path(args.scene).stem
     out = Path(args.out)
+    if args.rx_index is not None and not 0 <= args.rx_index < scene.n_rx:
+        raise ValidationError(f"--rx-index {args.rx_index}: {args.scene} has {scene.n_rx} receivers")
     rx_indices = [args.rx_index] if args.rx_index is not None else range(scene.n_rx)
     for k in rx_indices:
         bundle = synthesize_sweep(
@@ -187,19 +177,17 @@ def _cmd_pipeline(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
-    groups: dict[tuple[str, str], list[ReflSample]] = {}
-    for k, row in enumerate(_csv_rows(path, "reflection_angle_deg", "l_ref_db")):
-        key = (
-            row.get("scenario") or scenario or "samples",
-            row.get("band") or band or "",
+    def keyed_sample(k: int, row: dict):
+        key = (row.get("scenario") or scenario or "samples", row.get("band") or band or "")
+        return key, ReflSample(
+            rx_id=int(row.get("rx_id", k)),
+            reflection_angle_deg=float(row["reflection_angle_deg"]),
+            additional_loss_db=float(row["l_ref_db"]),
+            band_label=key[1],
         )
-        with _data_row(path, k):
-            sample = ReflSample(
-                rx_id=int(row.get("rx_id", k)),
-                reflection_angle_deg=float(row["reflection_angle_deg"]),
-                additional_loss_db=float(row["l_ref_db"]),
-                band_label=key[1],
-            )
+
+    groups: dict[tuple[str, str], list[ReflSample]] = {}
+    for key, sample in _csv_rows(path, "reflection_angle_deg", "l_ref_db", keyed_sample):
         groups.setdefault(key, []).append(sample)
     return groups
 
@@ -261,6 +249,8 @@ def _cmd_fit(args) -> int:
             values.append(value)
         model = ReflLossModel(*values)
         angles = _parse_range(args.angles)
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         samples = generate_samples(
             model, angles, noise_sigma_db=args.noise_sigma, rng=rng, band_label=band
@@ -288,12 +278,14 @@ def _cmd_fit(args) -> int:
 # coverage
 # ---------------------------------------------------------------------------
 def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
+    def rx_loss(_: int, row: dict) -> tuple[int, float]:
+        k, value = int(row["rx_id"]), float(row["pl_omni_db"])
+        if not math.isfinite(value):
+            raise ValueError(f"pl_omni_db must be finite, got {value}")
+        return k, value
+
     values: dict[int, float] = {}
-    for n, row in enumerate(_csv_rows(path, "rx_id", "pl_omni_db")):
-        with _data_row(path, n):
-            k, value = int(row["rx_id"]), float(row["pl_omni_db"])
-            if not math.isfinite(value):
-                raise ValueError(f"pl_omni_db must be finite, got {value}")
+    for k, value in _csv_rows(path, "rx_id", "pl_omni_db", rx_loss):
         if k in values:
             raise ValidationError(f"{path}: rx_id {k} is listed twice")
         values[k] = value

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicatePositionError, ValidationError
+from .errors import ValidationError
 from .fileio import atomic_write
 
 BOLTZMANN_W_S_PER_K = 1.381e-23
@@ -120,7 +120,7 @@ def interpolate_path_loss(
     for i in range(pos.shape[0]):
         for j in range(i + 1, pos.shape[0]):
             if np.array_equal(pos[i], pos[j]):
-                raise DuplicatePositionError(f"duplicate positions at indices {i} and {j}")
+                raise ValidationError(f"duplicate positions at indices {i} and {j}")
 
     seg_len = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg_len)])

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit: every broken input
+rule raises ``ValidationError``; the other two errors are outcomes a caller handles."""
 
 
 class ThzNirsError(Exception):
@@ -6,58 +7,15 @@ class ThzNirsError(Exception):
 
 
 class ValidationError(ThzNirsError, ValueError):
-    """A domain object violates one of its invariants.
-
-    The message names the violated invariant.
-    """
-
-
-class SceneValidationError(ValidationError):
-    """Scene geometry or scene file content is invalid."""
-
-
-class GridMismatchError(ThzNirsError, ValueError):
-    """Two sweeps do not share the same frequency grid."""
-
-
-class SingularCalibrationError(ThzNirsError, ValueError):
-    """System response magnitude too small to divide by; names the frequency."""
-
-
-class AliasingError(ThzNirsError, ValueError):
-    """A propagation path delay exceeds the unambiguous range of the sweep."""
-
-
-class InvalidThresholdError(ThzNirsError, ValueError):
-    """Noise threshold at or below the sentinel level."""
+    """Input or a domain object breaks a rule; the message names the rule (and file)."""
 
 
 class NoSignalError(ThzNirsError, ValueError):
     """Every selected profile entry is noise; no power to sum."""
 
 
-class ModelDomainError(ThzNirsError, ValueError):
-    """Model evaluated outside its domain (distance or angle range)."""
-
-
 class NoSpecularGeometryError(ThzNirsError, ValueError):
     """No specular reflection point exists on the panel for this Tx/Rx pair."""
-
-
-class UnderdeterminedFitError(ThzNirsError, ValueError):
-    """Fewer samples than fit parameters."""
-
-
-class DegenerateFitError(ThzNirsError, ValueError):
-    """Sample angles lack the diversity needed for a fit."""
-
-
-class BundleFormatError(ThzNirsError, ValueError):
-    """Sweep bundle directory or CSV content malformed; names the file."""
-
-
-class DuplicatePositionError(ThzNirsError, ValueError):
-    """Receiver polyline contains duplicate positions."""
 
 
 class NoNirsPanelWarning(UserWarning):

@@ -1,10 +1,14 @@
-"""Atomic file output shared by every writer in the toolkit."""
+"""File output and CSV input rules shared across the toolkit."""
 
 from __future__ import annotations
 
+import csv
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable
+
+from .errors import ValidationError
 
 
 def atomic_write(path, data: str | bytes | Callable[[BinaryIO], object]) -> None:
@@ -30,3 +34,24 @@ def atomic_write(path, data: str | bytes | Callable[[BinaryIO], object]) -> None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def open_csv(path):
+    """``path`` open as UTF-8 text for ``csv``; a decode or ``csv`` fault names the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
+def parse_rows(path, rows, parse) -> list:
+    """``parse(k, row)`` of each data row ``k`` of ``path``; a bad row names the file and row."""
+    out = []
+    try:
+        for row in rows:
+            out.append(parse(len(out), row))
+    except (TypeError, ValueError) as exc:  # a short DictReader row reads as None
+        raise ValidationError(f"{path}: data row {len(out) + 1}: {exc}") from None
+    return out

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ModelDomainError, NoSignalError, ValidationError
+from .errors import NoSignalError, ValidationError
 from .fileio import atomic_write
 from .pdap import SENTINEL_DB, Pdap
 from .scene import SPEED_OF_LIGHT
@@ -38,7 +38,7 @@ class CiModel:
 def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
     """Evaluate the CI model; distances below d0 = 1 m are out of domain."""
     if d_m < 1.0:
-        raise ModelDomainError(f"ci model: distance {d_m} m below the 1.0 m reference")
+        raise ValidationError(f"ci model: distance {d_m} m below the 1.0 m reference")
     fspl_ref = 20.0 * math.log10(4.0 * math.pi * f_hz / SPEED_OF_LIGHT)
     return fspl_ref + 10.0 * model.ple * math.log10(d_m)
 

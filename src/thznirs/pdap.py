@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidThresholdError, ValidationError
+from .errors import ValidationError
 from .fileio import atomic_write
 from .scene import ScanGrid, grid_to_json
 
@@ -74,7 +74,7 @@ def _power_db(samples: np.ndarray) -> np.ndarray:
 def _threshold(power_db: np.ndarray, noise_threshold_db: float) -> np.ndarray:
     """``power_db`` with every entry below the threshold set to the sentinel."""
     if not (noise_threshold_db > SENTINEL_DB):
-        raise InvalidThresholdError("noise threshold must exceed the -300 dB sentinel")
+        raise ValidationError("noise threshold must exceed the -300 dB sentinel")
     return np.where(power_db < noise_threshold_db, SENTINEL_DB, power_db)
 
 

@@ -21,12 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    ModelDomainError,
-    UnderdeterminedFitError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .fileio import atomic_write
 from .pathloss import CiModel, ci_path_loss
 
@@ -96,7 +91,7 @@ def eval_refl_model(model: ReflLossModel, phi_deg):
     """a |phi - phi_bar|^b + c for phi in [0, 90] degrees."""
     phi = np.asarray(phi_deg, dtype=float)
     if np.any(phi < 0.0) or np.any(phi > 90.0):
-        raise ModelDomainError("reflection angle must lie in [0, 90] degrees")
+        raise ValidationError("reflection angle must lie in [0, 90] degrees")
     val = model.a * np.abs(phi - model.phi_bar_deg) ** model.b + model.c
     return float(val) if np.isscalar(phi_deg) else val
 
@@ -276,16 +271,14 @@ def fit_refl_model(samples: Iterable[ReflSample]) -> FitResult:
         key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id),
     )
     if len(kept) < 4:
-        raise UnderdeterminedFitError(
-            f"fit needs at least 4 with-NIRS samples, got {len(kept)}"
-        )
+        raise ValidationError(f"fit needs at least 4 with-NIRS samples, got {len(kept)}")
     angles = np.array([s.reflection_angle_deg for s in kept])
     losses = np.array([s.additional_loss_db for s in kept])
     uniq = np.unique(angles)
     if uniq.shape[0] == 1:
-        raise DegenerateFitError("all sample angles are identical")
+        raise ValidationError("all sample angles are identical")
     if uniq.shape[0] < 3:
-        raise DegenerateFitError("fit needs at least 3 distinct angles")
+        raise ValidationError("fit needs at least 3 distinct angles")
 
     # phi_bar search window: the sample-angle range, narrowed to one
     # angle-gap around the empirical minimum-loss angle.

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import (
     NoNirsPanelWarning,
     NoSpecularGeometryError,
-    SceneValidationError,
-    ThzNirsError,
     ValidationError,
 )
 from .fileio import atomic_write
@@ -43,11 +41,11 @@ _PARALLEL_EPS = 1e-15  # |direction . normal| below this: parallel to the plane
 def _vec3(value, what: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.shape == (2,):
-        raise SceneValidationError(f"{what} must have 3 components, got 2")
+        raise ValidationError(f"{what} must have 3 components, got 2")
     if arr.shape != (3,):
-        raise SceneValidationError(f"{what} must have 3 components")
+        raise ValidationError(f"{what} must have 3 components")
     if not np.all(np.isfinite(arr)):
-        raise SceneValidationError(f"{what} must be finite")
+        raise ValidationError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -55,7 +53,7 @@ def _vec3(value, what: str) -> np.ndarray:
 def _unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n == 0.0:
-        raise SceneValidationError("zero-length direction vector")
+        raise ValidationError("zero-length direction vector")
     return v / n
 
 
@@ -249,14 +247,14 @@ class LossTable:
     def __post_init__(self):
         pts = tuple((float(a), float(l)) for a, l in self.points)
         if len(pts) == 0:
-            raise SceneValidationError("loss table: needs at least one entry")
+            raise ValidationError("loss table: needs at least one entry")
         angles = [a for a, _ in pts]
         if not _strictly_increasing(angles):
-            raise SceneValidationError("loss table: angles must be strictly increasing")
+            raise ValidationError("loss table: angles must be strictly increasing")
         if not (0.0 <= angles[0] and angles[-1] <= 90.0):  # NaN fails too
-            raise SceneValidationError("loss table: angles must lie in [0, 90]")
+            raise ValidationError("loss table: angles must lie in [0, 90]")
         if not all(0.0 <= l < math.inf for _, l in pts):
-            raise SceneValidationError("loss table: material_loss must be finite and >= 0 dB")
+            raise ValidationError("loss table: material_loss must be finite and >= 0 dB")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -281,7 +279,7 @@ def _as_loss(value) -> LossTable:
         isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)) for p in value
     ):
         return LossTable(points=tuple((a, l) for a, l in value))
-    raise SceneValidationError(
+    raise ValidationError(
         f"material_loss_db: expected a number or a list of [angle, loss] pairs, got {value!r}"
     )
 
@@ -306,27 +304,27 @@ class Rectangle:
     def __post_init__(self):
         c = np.array(self.corners, dtype=float)
         if c.shape != (4, 3):
-            raise SceneValidationError("rectangle: needs exactly 4 corner points in 3-D")
+            raise ValidationError("rectangle: needs exactly 4 corner points in 3-D")
         c = np.array([_vec3(p, "rectangle corner") for p in c])
         u = c[1] - c[0]
         v = c[3] - c[0]
         lu, lv = np.linalg.norm(u), np.linalg.norm(v)
         if lu == 0.0 or lv == 0.0:
-            raise SceneValidationError("rectangle: degenerate (zero-length edge)")
+            raise ValidationError("rectangle: degenerate (zero-length edge)")
         n = np.cross(u, v)
         ln = np.linalg.norm(n)
         if ln == 0.0:
-            raise SceneValidationError("rectangle: degenerate (collinear edges)")
+            raise ValidationError("rectangle: degenerate (collinear edges)")
         n = n / ln
         residual = abs(float(np.dot(c[2] - c[0], n)))
         if residual > _PLANARITY_TOL:
-            raise SceneValidationError(
+            raise ValidationError(
                 f"rectangle: coplanarity residual {residual:.3e} m exceeds 1e-9 m"
             )
         if np.linalg.norm(c[2] - (c[0] + u + v)) > 1e-6 * max(lu, lv):
-            raise SceneValidationError("rectangle: corners do not form a parallelogram")
+            raise ValidationError("rectangle: corners do not form a parallelogram")
         if abs(float(np.dot(u, v))) > 1e-7 * lu * lv:
-            raise SceneValidationError("rectangle: adjacent edges are not perpendicular")
+            raise ValidationError("rectangle: adjacent edges are not perpendicular")
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
         object.__setattr__(self, "origin", _readonly(c[0]))
@@ -452,12 +450,12 @@ class NirsPanel:
         object.__setattr__(self, "material_loss", _as_loss(self.material_loss))
         rows, cols = self.subdivision
         if rows < 1 or cols < 1:
-            raise SceneValidationError("panel: subdivision must be at least 1x1")
+            raise ValidationError("panel: subdivision must be at least 1x1")
         if self.active_cells is not None:
             cells = frozenset((int(r), int(c)) for r, c in self.active_cells)
             for r, c in cells:
                 if not (0 <= r < rows and 0 <= c < cols):
-                    raise SceneValidationError(
+                    raise ValidationError(
                         f"panel: active cell ({r},{c}) outside subdivision {rows}x{cols}"
                     )
             object.__setattr__(self, "active_cells", cells)
@@ -500,8 +498,6 @@ class Scene:
     rx_pattern: AntennaPattern = DEFAULT_RX_PATTERN
     frequency_plan: FrequencyPlan | None = None
     scan_grid: ScanGrid = field(default_factory=ScanGrid.default)
-    tx_height: float = DEFAULT_TX_HEIGHT
-    rx_height: float = DEFAULT_RX_HEIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "walls", tuple(self.walls))
@@ -510,7 +506,7 @@ class Scene:
         object.__setattr__(self, "tx_boresight", _readonly(_unit(_vec3(self.tx_boresight, "tx boresight"))))
         rx = np.array(self.rx_positions, dtype=float)
         if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
-            raise SceneValidationError("scene: rx positions must be an (n, 3) array, n >= 1")
+            raise ValidationError("scene: rx positions must be an (n, 3) array, n >= 1")
         object.__setattr__(self, "rx_positions", _readonly([_vec3(p, "rx position") for p in rx]))
 
     @property
@@ -519,9 +515,7 @@ class Scene:
 
     def rx_position(self, rx_index: int) -> np.ndarray:
         if not (0 <= rx_index < self.n_rx):
-            raise SceneValidationError(
-                f"scene: rx index {rx_index} out of range (n_rx={self.n_rx})"
-            )
+            raise ValidationError(f"scene: rx index {rx_index} out of range (n_rx={self.n_rx})")
         return self.rx_positions[rx_index]
 
     def surfaces(self) -> list[Surface]:
@@ -573,9 +567,7 @@ def _azimuth_angle_to_normal(direction: np.ndarray, normal: np.ndarray) -> float
     n = np.array([normal[0], normal[1]])
     nd, nn = np.linalg.norm(d), np.linalg.norm(n)
     if nn < 1e-12:
-        raise SceneValidationError(
-            "reflection angle: panel normal has no azimuth-plane component"
-        )
+        raise ValidationError("reflection angle: panel normal has no azimuth-plane component")
     if nd < 1e-12:
         return 0.0
     c = abs(float(np.dot(d, n)) / (nd * nn))
@@ -589,7 +581,7 @@ def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
     panel or Tx and Rx sit on opposite sides of its plane.
     """
     if not scene.nirs_panels:
-        raise SceneValidationError("scene has no NIRS panel")
+        raise ValidationError("scene has no NIRS panel")
     panel = RectangleStack.of([scene.nirs_panels[0].rectangle])
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
@@ -617,7 +609,7 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
     the incidence of the Tx ray there.  specular_point is the strict check.
     """
     if not scene.nirs_panels:
-        raise SceneValidationError("scene has no NIRS panel")
+        raise ValidationError("scene has no NIRS panel")
     rect = scene.nirs_panels[0].rectangle
     try:
         point = specular_point(scene, rx_index)
@@ -636,16 +628,16 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
 # JSON: scene files, and the plan and grid objects bundle manifests share
 # ---------------------------------------------------------------------------
 @contextmanager
-def json_errors(source, error: type[ThzNirsError]):
-    """Re-raise any fault met while reading ``source``'s JSON as ``error`` naming it.
+def json_errors(source):
+    """Re-raise any fault met while reading ``source``'s JSON as ValidationError naming it.
 
-    A toolkit error keeps its type and gains the ``source`` prefix once, so
-    nested readers of the same file name it a single time.
+    A ValidationError gains the ``source`` prefix once, so nested readers of
+    the same file name it a single time.
     """
     prefix = f"{source}: "
     try:
         yield
-    except ThzNirsError as exc:
+    except ValidationError as exc:
         if not str(exc).startswith(prefix):
             exc.args = (prefix + str(exc),)
         raise
@@ -656,7 +648,7 @@ def json_errors(source, error: type[ThzNirsError]):
             reason = f"missing key {exc}"
         else:
             reason = str(exc)
-        raise error(prefix + reason) from exc
+        raise ValidationError(prefix + reason) from exc
 
 
 def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
@@ -684,7 +676,7 @@ def _position3(value, height: float, what: str) -> np.ndarray:
     if arr.shape == (2,):
         arr = np.array([arr[0], arr[1], height])
     if arr.shape != (3,):
-        raise SceneValidationError(f"scene file: {what} must be [x,y] or [x,y,z]")
+        raise ValidationError(f"scene file: {what} must be [x,y] or [x,y,z]")
     return arr
 
 
@@ -732,7 +724,7 @@ def _pattern_to_json(pattern: AntennaPattern) -> dict:
 
 def scene_from_dict(data: dict, source="scene file") -> Scene:
     """The scene a parsed scene file describes; any fault names ``source``."""
-    with json_errors(source, SceneValidationError):
+    with json_errors(source):
         _json_object(
             data, "top level", ("walls", "tx", "rx", "frequency_plan"), ("nirs_panels", "scan_grid")
         )
@@ -788,8 +780,6 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
             scan_grid=(
                 grid_from_json(data["scan_grid"]) if "scan_grid" in data else ScanGrid.default()
             ),
-            tx_height=tx_height,
-            rx_height=rx_height,
         )
 
 
@@ -816,12 +806,10 @@ def scene_to_dict(scene: Scene) -> dict:
         "tx": {
             "position": scene.tx_position.tolist(),
             "boresight": scene.tx_boresight.tolist(),
-            "height_m": scene.tx_height,
             "pattern": _pattern_to_json(scene.tx_pattern),
         },
         "rx": {
             "positions": scene.rx_positions.tolist(),
-            "height_m": scene.rx_height,
             "pattern": _pattern_to_json(scene.rx_pattern),
         },
         "frequency_plan": plan_to_json(scene.frequency_plan),
@@ -830,7 +818,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh, json_errors(path, SceneValidationError):
+    with open(path, "r", encoding="utf-8") as fh, json_errors(path):
         return scene_from_dict(json.loads(fh.read()), source=path)
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AliasingError, BundleFormatError, ValidationError
-from .fileio import atomic_write
+from .errors import ValidationError
+from .fileio import atomic_write, open_csv, parse_rows
 from .scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -263,7 +263,7 @@ def synthesize_sweep(
     the scene's frequency plan and scan grid.
 
     Every path delay must stay below 1/f_step (the unambiguous delay range);
-    a longer path raises AliasingError naming the offending path rather than
+    a longer path raises ValidationError naming the offending path rather than
     wrapping around silently.
     """
     plan, grid = scene.frequency_plan, scene.scan_grid
@@ -274,7 +274,7 @@ def synthesize_sweep(
     limit = 1.0 / plan.f_step_hz
     for p in paths:
         if p.delay_s >= limit:
-            raise AliasingError(
+            raise ValidationError(
                 f"path delay {p.delay_s * 1e9:.2f} ns (length {p.total_length_m:.2f} m, "
                 f"surfaces {list(p.surfaces_hit)}) reaches the {limit * 1e9:.2f} ns "
                 f"unambiguous range of a {plan.f_step_hz / 1e6:g} MHz step"
@@ -319,38 +319,35 @@ def write_sweep_csv(sweep: FrequencySweep, path) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _sweep_row(_: int, row: list[str]) -> tuple[float, complex]:
+    f, real, imag = map(float, row)
+    if not (math.isfinite(f) and math.isfinite(real) and math.isfinite(imag)):
+        raise ValueError("frequency and sample must be finite")
+    return f, complex(real, imag)
+
+
 def read_sweep_csv(path, plan: FrequencyPlan | None = None) -> FrequencySweep:
     path = Path(path)
     if not path.exists():
-        raise BundleFormatError(f"missing sweep file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline().rstrip("\r\n")
-            if header != SWEEP_CSV_HEADER:
-                raise BundleFormatError(
-                    f"{path}: header must be exactly '{SWEEP_CSV_HEADER}', got '{header}'"
-                )
-            rows = list(csv.reader(fh))
-        freqs = np.array([float(r[0]) for r in rows])
-        samples = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    except BundleFormatError:
-        raise
-    except (IndexError, ValueError) as exc:  # a decode error is a ValueError too
-        raise BundleFormatError(f"{path}: malformed row ({exc})") from exc
-    finite = np.isfinite(freqs) & np.isfinite(samples)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise BundleFormatError(f"{path}: data row {k + 1}: frequency and sample must be finite")
-    if freqs.shape[0] < 2:
-        raise BundleFormatError(f"{path}: needs at least 2 rows")
+        raise ValidationError(f"missing sweep file: {path}")
+    with open_csv(path) as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != SWEEP_CSV_HEADER:
+            raise ValidationError(
+                f"{path}: header must be exactly '{SWEEP_CSV_HEADER}', got '{header}'"
+            )
+        rows = parse_rows(path, list(csv.reader(fh)), _sweep_row)
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: needs at least 2 rows")
+    freqs, samples = (np.array(column) for column in zip(*rows))
     if np.any(np.diff(freqs) <= 0):
-        raise BundleFormatError(f"{path}: frequencies must be strictly ascending")
+        raise ValidationError(f"{path}: frequencies must be strictly ascending")
     if plan is None:
         step = (freqs[-1] - freqs[0]) / (freqs.shape[0] - 1)
         plan = FrequencyPlan(f_start_hz=float(freqs[0]), f_stop_hz=float(freqs[-1]), f_step_hz=float(step))
     expected = frequency_grid(plan)
     if freqs.shape[0] != expected.shape[0] or np.max(np.abs(freqs - expected)) > 1e-3:
-        raise BundleFormatError(f"{path}: frequency grid does not match the plan")
+        raise ValidationError(f"{path}: frequency grid does not match the plan")
     return FrequencySweep(plan=plan, samples=samples)
 
 
@@ -390,16 +387,16 @@ def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
         with open(path, "rb") as fh:
             sweeps = np.lib.format.read_array(fh, allow_pickle=False)
     except FileNotFoundError:
-        raise BundleFormatError(f"missing sweep file: {path}") from None
+        raise ValidationError(f"missing sweep file: {path}") from None
     except (OSError, ValueError, EOFError) as exc:
         reason = " ".join(str(exc).split())
-        raise BundleFormatError(f"{path}: not a readable .npy array ({reason})") from exc
+        raise ValidationError(f"{path}: not a readable .npy array ({reason})") from exc
     if sweeps.dtype != np.complex128:
-        raise BundleFormatError(f"{path}: dtype must be complex128, got {sweeps.dtype}")
+        raise ValidationError(f"{path}: dtype must be complex128, got {sweeps.dtype}")
     if sweeps.shape != shape:
-        raise BundleFormatError(f"{path}: shape must be {shape}, got {sweeps.shape}")
+        raise ValidationError(f"{path}: shape must be {shape}, got {sweeps.shape}")
     if not np.isfinite(sweeps).all():
-        raise BundleFormatError(f"{path}: every value must be finite")
+        raise ValidationError(f"{path}: every value must be finite")
     return sweeps
 
 
@@ -413,8 +410,8 @@ def read_bundle(dirpath) -> SweepBundle:
     d = Path(dirpath)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
-        raise BundleFormatError(f"missing bundle manifest: {manifest_path}")
-    with json_errors(manifest_path, BundleFormatError):
+        raise ValidationError(f"missing bundle manifest: {manifest_path}")
+    with json_errors(manifest_path):
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
         plan = plan_from_json(raw["frequency_plan"])
         grid = grid_from_json(raw["scan_grid"])
@@ -437,5 +434,5 @@ def read_bundle(dirpath) -> SweepBundle:
     elif raw["format"] == BUNDLE_FORMAT:
         sweeps = _read_sweeps_npy(d / SWEEPS_FILE, shape)
     else:
-        raise BundleFormatError(f"{manifest_path}: unknown bundle format {raw['format']!r}")
+        raise ValidationError(f"{manifest_path}: unknown bundle format {raw['format']!r}")
     return SweepBundle(manifest=manifest, sweeps=sweeps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from thznirs.errors import DegenerateFitError, UnderdeterminedFitError
+from thznirs.errors import ValidationError
 from thznirs.reflfit import (
     B_GRID_START,
     B_GRID_STEP,
@@ -78,16 +78,16 @@ def fit_refl_model(samples) -> FitResult:
         key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id),
     )
     if len(kept) < 4:
-        raise UnderdeterminedFitError(
+        raise ValidationError(
             f"fit needs at least 4 with-NIRS samples, got {len(kept)}"
         )
     angles = np.array([s.reflection_angle_deg for s in kept])
     losses = np.array([s.additional_loss_db for s in kept])
     uniq = np.unique(angles)
     if uniq.shape[0] == 1:
-        raise DegenerateFitError("all sample angles are identical")
+        raise ValidationError("all sample angles are identical")
     if uniq.shape[0] < 3:
-        raise DegenerateFitError("fit needs at least 3 distinct angles")
+        raise ValidationError("fit needs at least 3 distinct angles")
 
     gap = float(np.max(np.diff(uniq)))
     argmin_angle = float(angles[int(np.argmin(losses))])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import smooth_sweep
 from thznirs.calibrate import SystemResponse, apply_system, calibrate
-from thznirs.errors import GridMismatchError, SingularCalibrationError, ValidationError
+from thznirs.errors import ValidationError
 from thznirs.scene import FrequencyPlan, FrequencySweep, frequency_grid
 
 
@@ -75,11 +75,11 @@ def test_extra_defaults_to_ones(small_plan, rng):
 def test_grid_mismatch_rejected(small_plan, rng):
     other = FrequencyPlan(306e9, 306.5e9, 2.5e6)
     sysr = SystemResponse(connect=smooth_sweep(small_plan, rng))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValidationError, match="grids differ"):
         calibrate(smooth_sweep(other, rng), sysr)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValidationError, match="grids differ"):
         apply_system(smooth_sweep(other, rng), sysr)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValidationError, match="grids differ"):
         SystemResponse(connect=smooth_sweep(small_plan, rng), extra=smooth_sweep(other, rng))
 
 
@@ -97,5 +97,5 @@ def test_singular_calibration_names_frequency(small_plan, rng):
         connect=FrequencySweep(small_plan, a), extra=FrequencySweep(small_plan, b)
     )
     freqs = frequency_grid(small_plan)
-    with pytest.raises(SingularCalibrationError, match=re.escape(f"{freqs[bad]:.6e}")):
+    with pytest.raises(ValidationError, match=re.escape(f"{freqs[bad]:.6e}")):
         calibrate(smooth_sweep(small_plan, rng), sysr)

@@ -86,6 +86,15 @@ def test_synth_three_bounces_leaks_no_numpy_warning(tmp_path):
     assert len(list((tmp_path / "b").iterdir())) == 12
 
 
+@pytest.mark.parametrize("rx_index", ["9", "-1"])
+def test_synth_rx_index_out_of_range_names_flag_and_scene(tmp_path, capsys, rx_index):
+    scene, out = f"{SCENES}/corridor_mini.json", tmp_path / "b"
+    rc = main(["synth", "--scene", scene, "--out", str(out), "--rx-index", rx_index])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --rx-index {rx_index}: {scene} has 9 receivers\n"
+    assert not out.exists()
+
+
 def test_synth_flags_panel_free_scene(tmp_path):
     out = tmp_path / "bundles"
     rc = main([
@@ -215,35 +224,36 @@ def _utf16_manifest(tmp_path):
     ]
 
 
-def _utf16_sweep_csv(tmp_path):
+def _sweep_csv_input(tmp_path, spoil):
+    """A ``--connect`` CSV passed through ``spoil``, and the pipeline argv that reads it."""
     scene, bundles = f"{SCENES}/corridor_mini.json", _rx0_bundle(tmp_path)
     connect = tmp_path / "connect.csv"
     write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), connect)
-    return _utf16(connect), ["pipeline", "--scene", scene, "--bundle", str(bundles),
-                             "--connect", str(connect), "--out", str(tmp_path / "o")]
+    return spoil(connect), ["pipeline", "--scene", scene, "--bundle", str(bundles),
+                            "--connect", str(connect), "--out", str(tmp_path / "o")]
 
 
-def _utf16_samples(tmp_path):
+def _samples_input(tmp_path, spoil):
     samples = tmp_path / "s.csv"
     rows = [f"{k},{5 + 10 * k},{10 + k}" for k in range(8)]
     samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n" + "\n".join(rows) + "\n")
-    return _utf16(samples), ["fit", "--samples", str(samples), "--out", str(tmp_path / "o")]
+    return spoil(samples), ["fit", "--samples", str(samples), "--out", str(tmp_path / "o")]
 
 
-def _utf16_results(tmp_path):
+def _results_input(tmp_path, spoil):
     scene = f"{SCENES}/corridor_mini.json"
     results = tmp_path / "r.csv"
     _write_results(results, scene, [105.0] * 9)
-    return _utf16(results), ["coverage", "--scene", scene, "--results", str(results),
-                             "--out", str(tmp_path / "o")]
+    return spoil(results), ["coverage", "--scene", scene, "--results", str(results),
+                            "--out", str(tmp_path / "o")]
 
 
 UTF16_INPUTS = {
     "scene": _utf16_scene,
     "manifest": _utf16_manifest,
-    "sweep_csv": _utf16_sweep_csv,
-    "samples_csv": _utf16_samples,
-    "results_csv": _utf16_results,
+    "sweep_csv": lambda t: _sweep_csv_input(t, _utf16),
+    "samples_csv": lambda t: _samples_input(t, _utf16),
+    "results_csv": lambda t: _results_input(t, _utf16),
 }
 
 
@@ -255,6 +265,40 @@ def test_input_not_utf8_names_the_file(tmp_path, capsys, reader):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _long_field(path: Path) -> Path:
+    """Append a data row whose first field is longer than csv's 131,072-byte limit."""
+    path.write_text(path.read_text() + "9" * 200_000 + ",1,1\n")
+    return path
+
+
+@pytest.mark.parametrize("build", [_sweep_csv_input, _samples_input, _results_input],
+                         ids=["sweep_csv", "samples_csv", "results_csv"])
+def test_csv_field_over_the_limit_names_the_file(tmp_path, capsys, build):
+    named, argv = build(tmp_path, _long_field)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}: field larger than field limit (131072)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _drop_last_field_of_row_3(path: Path) -> Path:
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_short_sweep_row_names_file_and_row(tmp_path, capsys):
+    named, argv = _sweep_csv_input(tmp_path, _drop_last_field_of_row_3)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {named}: data row 3: not enough values to unpack (expected 3, got 2)\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -681,6 +725,17 @@ def test_fit_generate_names_non_numeric_field(tmp_path, capsys, spec, reason):
     rc = main(["fit", "--generate", spec, "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: --generate: {reason} is not a finite number\n"
+
+
+def test_fit_generate_names_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main([
+        "fit", "--generate", "corridor,306-321GHz,17.51,2.80,0.48,7.4",
+        "--noise-sigma", "0.5", "--seed", "-1", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

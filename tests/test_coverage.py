@@ -12,7 +12,7 @@ from thznirs.coverage import (
     snr_db,
     write_coverage_csv,
 )
-from thznirs.errors import DuplicatePositionError, ValidationError
+from thznirs.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_polyline_from_3d_positions():
 
 
 def test_duplicate_positions_rejected():
-    with pytest.raises(DuplicatePositionError):
+    with pytest.raises(ValidationError, match="duplicate positions"):
         interpolate_path_loss([0.0, 1.0, 1.0], [100.0, 101.0, 102.0])
     with pytest.raises(ValidationError):
         interpolate_path_loss([0.0], [100.0])

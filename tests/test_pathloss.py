@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thznirs.errors import ModelDomainError, NoSignalError, ValidationError
+from thznirs.errors import NoSignalError, ValidationError
 from thznirs.pathloss import (
     CiModel,
     RxPathLossRow,
@@ -142,7 +142,7 @@ def test_ci_monotone_in_distance_and_frequency():
 
 
 def test_ci_domain_and_invariants():
-    with pytest.raises(ModelDomainError):
+    with pytest.raises(ValidationError, match="below the 1.0 m reference"):
         ci_path_loss(CiModel(ple=2.0), 313.5e9, 0.5)
     with pytest.raises(ValidationError):
         CiModel(ple=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import single_direction_grid, smooth_sweep
-from thznirs.errors import InvalidThresholdError, ValidationError
+from thznirs.errors import ValidationError
 from thznirs.pdap import (
     SENTINEL_DB,
     Pdap,
@@ -144,9 +144,9 @@ def test_eliminate_never_raises_total_power_and_preserves_at_floor(rng):
 
 def test_threshold_domain():
     pdap = _pdap_from_powers(np.full((1, 1, 4), -100.0))
-    with pytest.raises(InvalidThresholdError):
+    with pytest.raises(ValidationError, match="-300 dB sentinel"):
         eliminate_noise(pdap, -300.0)
-    with pytest.raises(InvalidThresholdError):
+    with pytest.raises(ValidationError, match="-300 dB sentinel"):
         pdap_from_sweeps(_flat_cir_sweeps(1e-5), single_direction_grid(), 1e9, -301.0)
 
 

@@ -10,7 +10,6 @@ from conftest import random_box_scenes
 from thznirs.errors import (
     NoNirsPanelWarning,
     NoSpecularGeometryError,
-    SceneValidationError,
     ValidationError,
 )
 from thznirs.presets import PLAN_MINI_306, corridor_scene, hallway_scene
@@ -127,7 +126,7 @@ def test_pattern_validation(gain, hpbw):
 # ---------------------------------------------------------------------------
 def test_rectangle_coplanarity_error():
     corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0.001], [0, 1, 0]], float)
-    with pytest.raises(SceneValidationError, match="coplanarity"):
+    with pytest.raises(ValidationError, match="coplanarity"):
         Rectangle(corners=corners)
 
 
@@ -148,9 +147,9 @@ def test_loss_table():
     assert const.loss_db(85.0) == 12.0
     table = LossTable(points=((0.0, 10.0), (90.0, 20.0)))
     assert table.loss_db(45.0) == pytest.approx(15.0)
-    with pytest.raises(SceneValidationError, match="increasing"):
+    with pytest.raises(ValidationError, match="increasing"):
         LossTable(points=((10.0, 1.0), (10.0, 2.0)))
-    with pytest.raises(SceneValidationError, match=">= 0"):
+    with pytest.raises(ValidationError, match=">= 0"):
         LossTable.constant(-1.0)
 
 
@@ -175,16 +174,16 @@ def test_scene_json_roundtrip(tmp_path):
 def test_scene_json_rejects_unknown_keys(tmp_path):
     data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
     data["surprise"] = 1
-    with pytest.raises(SceneValidationError, match="surprise"):
+    with pytest.raises(ValidationError, match="surprise"):
         scene_from_dict(data)
     data.pop("surprise")
     data["tx"]["color"] = "red"
-    with pytest.raises(SceneValidationError, match="color"):
+    with pytest.raises(ValidationError, match="color"):
         scene_from_dict(data)
 
 
 def test_scene_json_missing_required():
-    with pytest.raises(SceneValidationError, match="walls"):
+    with pytest.raises(ValidationError, match="walls"):
         scene_from_dict({"tx": {}, "rx": {}, "frequency_plan": {}})
 
 
@@ -206,7 +205,7 @@ def test_scene_json_roundtrips_angle_dependent_loss(tmp_path):
 def test_scene_json_rejects_malformed_material_loss(owner, value):
     data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
     data[owner][0]["material_loss_db"] = value
-    with pytest.raises(SceneValidationError, match="material_loss_db"):
+    with pytest.raises(ValidationError, match="material_loss_db"):
         scene_from_dict(data)
 
 
@@ -405,7 +404,7 @@ def test_reflection_angle_off_panel_raises_then_falls_back():
 
 def test_link_geometry_without_panel_raises():
     scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
-    with pytest.raises(SceneValidationError, match="no NIRS panel"):
+    with pytest.raises(ValidationError, match="no NIRS panel"):
         rx_link_geometry(scene, 0)
 
 
@@ -508,7 +507,7 @@ def test_reflection_angle_matches_2d_image_oracle():
 
 def test_scene_rx_index_out_of_range():
     scene = corridor_scene(plan=PLAN_MINI_306)
-    with pytest.raises(SceneValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match="out of range"):
         scene.rx_position(99)
 
 

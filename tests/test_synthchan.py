@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import synthchan_oracle as oracle
 from conftest import SPOILED_BUNDLES, random_box_scenes, write_csv_bundle
 
 from thznirs import synthchan
-from thznirs.errors import AliasingError, BundleFormatError, ValidationError
+from thznirs.errors import ValidationError
 from thznirs.presets import PLAN_306_321, PLAN_MINI_306, corridor_scene
 from thznirs.scene import (
     SPEED_OF_LIGHT,
@@ -214,7 +215,7 @@ def test_synthesize_aliasing_error(paper_plan):
     scene = dataclasses.replace(
         _open_room([120.1, 0.0, 2.0], [0.0, 0.0, 2.0]), frequency_plan=paper_plan
     )
-    with pytest.raises(AliasingError, match="120.10 m"):
+    with pytest.raises(ValidationError, match="120.10 m"):
         synthesize_sweep(scene, 0, max_bounces=0)
 
 
@@ -315,7 +316,7 @@ def test_bundle_missing_direction_file(tmp_path):
     d = tmp_path / "bundle"
     write_csv_bundle(tmp_path / "npy", d)
     (d / direction_filename(0, 1)).unlink()
-    with pytest.raises(BundleFormatError, match="el0_az1.csv"):
+    with pytest.raises(ValidationError, match="el0_az1.csv"):
         read_bundle(d)
 
 
@@ -324,9 +325,8 @@ def test_bundle_rejects_spoiled_npy_bundle(tmp_path, case):
     d = tmp_path / "bundle"
     write_bundle(_two_direction_bundle(), d)
     named = SPOILED_BUNDLES[case](d)
-    with pytest.raises(BundleFormatError) as info:
+    with pytest.raises(ValidationError, match=re.escape(str(named))):
         read_bundle(d)
-    assert str(named) in str(info.value)
 
 
 def test_interrupted_bundle_write_leaves_no_manifest(tmp_path, monkeypatch):
@@ -348,7 +348,7 @@ def test_interrupted_bundle_write_leaves_no_manifest(tmp_path, monkeypatch):
 def test_sweep_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frequency,re,im\n1.0,1.0,0.0\n")
-    with pytest.raises(BundleFormatError, match="header"):
+    with pytest.raises(ValidationError, match="header"):
         read_sweep_csv(path)
 
 
