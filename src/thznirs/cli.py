@@ -16,11 +16,14 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+# before numpy loads: the CLI's small products cost less than a BLAS thread hand-off
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import ThzNirsError, ValidationError
-from .fileio import open_csv, parse_rows
-from .reflfit import (
+import numpy as np  # noqa: E402
+
+from .errors import ThzNirsError, ValidationError  # noqa: E402
+from .fileio import open_csv, parse_rows  # noqa: E402
+from .reflfit import (  # noqa: E402
     ReflLossModel,
     ReflSample,
     fit_refl_models,
@@ -82,10 +85,7 @@ def _cmd_synth(args) -> int:
     scene = load_scene(args.scene)
     scenario = Path(args.scene).stem
     out = Path(args.out)
-    if args.rx_index is not None and not 0 <= args.rx_index < scene.n_rx:
-        raise ValidationError(f"--rx-index {args.rx_index}: {args.scene} has {scene.n_rx} receivers")
-    rx_indices = [args.rx_index] if args.rx_index is not None else range(scene.n_rx)
-    for k in rx_indices:
+    for k in range(scene.n_rx):
         bundle = synthesize_sweep(
             scene, k, max_bounces=args.max_bounces, scenario_id=scenario
         )
@@ -134,11 +134,15 @@ def _cmd_pipeline(args) -> int:
         extra = read_sweep_csv(args.extra, plan=connect.plan) if args.extra else None
         sys_resp = SystemResponse(connect=connect, extra=extra)
 
+    # every bundle must match the scene's plan and grid, so the scene's serve them all
+    plan = scene.frequency_plan
     ci = CiModel(ple=args.ple)
     threshold_db = DEFAULT_NOISE_THRESHOLD_DB if args.threshold_db is None else args.threshold_db
     rows = []
     seen: dict[int, Path] = {}
-    for bdir in _bundle_dirs(Path(args.bundle)):
+    bundle_dirs = _bundle_dirs(Path(args.bundle))
+    divisor = None if sys_resp is None else sys_resp.divisor(plan)
+    for bdir in bundle_dirs:
         bundle = read_bundle(bdir)
         m = bundle.manifest
         if not 0 <= m.rx_index < scene.n_rx:
@@ -155,13 +159,11 @@ def _cmd_pipeline(args) -> int:
                                    ("scan_grid", m.grid, scene.scan_grid)):
             if ours != theirs:
                 raise ValidationError(f"bundle {bdir}: {name} does not match scene {args.scene}")
-        sweeps = bundle.sweeps
-        if sys_resp is not None:
-            sweeps = sweeps / sys_resp.divisor(m.plan)
+        sweeps = bundle.sweeps if divisor is None else bundle.sweeps / divisor
         pdap = pdap_from_sweeps(
-            sweeps, m.grid, m.plan.span_hz, noise_threshold_db=threshold_db
+            sweeps, scene.scan_grid, plan.span_hz, noise_threshold_db=threshold_db
         )
-        angles = nirs_angle_set(scene, m.rx_index, grid=m.grid)
+        angles = nirs_angle_set(scene, m.rx_index)
         if not angles:
             raise ValidationError(
                 f"angle set for rx {m.rx_index} is empty; "
@@ -170,7 +172,7 @@ def _cmd_pipeline(args) -> int:
         pl_dir = directional_path_loss(pdap, angles)
         pl_omni = omni_path_loss(pdap)
         phi, _spec, d1, d2 = rx_link_geometry(scene, m.rx_index)
-        l_ref = additional_reflection_loss(pl_dir, ci, m.plan.center_hz, d1, d2)
+        l_ref = additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)
         rows.append(RxPathLossRow(m.rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref))
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -212,20 +214,18 @@ def _worker_map(workers: int):
     worker would import numpy afresh, costing more than a fit). Forking is
     safe here: the CLI starts no threads, and OpenBLAS stops its own around
     ``fork``. Otherwise, or where ``fork`` is missing, it is the builtin
-    ``map`` in this process.
+    ``map`` in this process.  ``fit`` maps one batch per worker, so no task
+    is ever pending when the pool shuts down.
     """
     if workers > 1:
         import concurrent.futures
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = concurrent.futures.ProcessPoolExecutor(
+            with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")
-            )
-            try:
+            ) as pool:
                 yield pool.map
-            finally:
-                pool.shutdown(cancel_futures=True)
             return
     yield map
 
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize sweep bundles from a scene file")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rx-index", type=int, default=None)
     p.add_argument("--max-bounces", type=int, default=2)
     p.set_defaults(func=_cmd_synth)
 
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ThzNirsError, OSError, ValueError) as exc:
+    except (ThzNirsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

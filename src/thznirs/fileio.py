@@ -19,17 +19,26 @@ def atomic_write(path, data: str | bytes | Callable[[BinaryIO], object]) -> None
     copy.  The temp file gets a unique name in the target's directory, so
     concurrent writers never share one, and ``open`` creates it with the
     usual 0o666-less-umask mode.  If the write fails the temp file is removed
-    and the target is left as it was.
+    and the target is left as it was.  A target that exists and, after
+    following symlinks, is not a regular file (a device, a pipe) is written
+    in place, never replaced.
     """
     path = Path(path)
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:  # e.g. an undecodable byte in a command-line name
+            raise ValidationError(f"{path}: {exc}") from None
+    write = data if callable(data) else lambda fh: fh.write(data)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            write(fh)
+        return
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            if callable(data):
-                data(fh)
-            else:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

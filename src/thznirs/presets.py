@@ -207,18 +207,17 @@ def los_scene(
     distance_m: float,
     plan: FrequencyPlan = PLAN_306_321,
     grid: ScanGrid | None = None,
-    tx_gain_dbi: float = 0.0,
-    rx_gain_dbi: float = 0.0,
 ) -> Scene:
-    """Free-space link: Tx on the receiver's azimuth-0 bearing, no surfaces."""
+    """Free-space link: Tx on the receiver's azimuth-0 bearing, no surfaces,
+    unity-gain antennas."""
     return Scene(
         walls=(),
         nirs_panels=(),
         tx_position=np.array([distance_m, 0.0, 2.0]),
         tx_boresight=np.array([-1.0, 0.0, 0.0]),
         rx_positions=np.array([[0.0, 0.0, 2.0]]),
-        tx_pattern=AntennaPattern(boresight_gain_dbi=tx_gain_dbi, hpbw_deg=30.0),
-        rx_pattern=AntennaPattern(boresight_gain_dbi=rx_gain_dbi, hpbw_deg=8.0),
+        tx_pattern=AntennaPattern(boresight_gain_dbi=0.0, hpbw_deg=30.0),
+        rx_pattern=AntennaPattern(boresight_gain_dbi=0.0, hpbw_deg=8.0),
         frequency_plan=plan,
         scan_grid=grid or ScanGrid.default(),
     )

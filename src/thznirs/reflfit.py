@@ -267,21 +267,27 @@ def _pick(b_values: np.ndarray, rows: np.ndarray, best=None):
 def _refined_search(windows: list[tuple]) -> list[tuple]:
     """Coarse b grid, then (if a > 0) nested b refinement around the best b,
     for each (angles, losses, lo, hi) window.  Returns per window
-    (b, phi, a, c, rmse)."""
+    (b, phi, a, c, rmse).  A refinement stage skips each b its window has
+    fitted: the fit would repeat bit for bit, and _pick rejected it or holds
+    it as the best, which only falls, so it would be rejected again."""
     n_b = int(round((B_GRID_STOP - B_GRID_START) / B_GRID_STEP)) + 1
     b_grid = B_GRID_START + B_GRID_STEP * np.arange(n_b)
     rows = _phi_conditional([(*w, b_grid) for w in windows])
     best = [_pick(b_grid, r) for r in rows]
     refine = [w for w, found in enumerate(best) if found[2] > 0]
+    fitted = {w: set(b_grid.tolist()) for w in refine}
     step_b = B_GRID_STEP
     for _ in range(REFINE_STAGES):
-        rbs = [
-            np.unique(np.clip(np.linspace(best[w][0] - step_b, best[w][0] + step_b, 21),
-                              B_GRID_START, B_GRID_STOP))
-            for w in refine
-        ]
-        rows = _phi_conditional([(*windows[w], rb) for w, rb in zip(refine, rbs)])
-        for w, rb, r in zip(refine, rbs, rows):
+        stage = []
+        for w in refine:
+            rb = np.unique(np.clip(np.linspace(best[w][0] - step_b, best[w][0] + step_b, 21),
+                                   B_GRID_START, B_GRID_STOP))
+            rb = rb[[b not in fitted[w] for b in rb.tolist()]]
+            fitted[w].update(rb.tolist())
+            if rb.size:
+                stage.append((w, rb))
+        rows = _phi_conditional([(*windows[w], rb) for w, rb in stage])
+        for (w, rb), r in zip(stage, rows):
             best[w] = _pick(rb, r, best[w])
         step_b /= 10.0
     return best

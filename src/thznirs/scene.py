@@ -17,8 +17,8 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -265,9 +265,6 @@ class LossTable:
         angles = [a for a, _ in self.points]
         losses = [l for _, l in self.points]
         return float(np.interp(incidence_deg, angles, losses))
-
-    def min_loss_db(self) -> float:
-        return min(l for _, l in self.points)
 
 
 def _as_loss(value) -> LossTable:
@@ -528,12 +525,6 @@ class Scene:
             for (r, c), rect in panel.active_rectangles():
                 out.append(Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss))
         return out
-
-    def with_panel_cells(self, active: Iterable[tuple[int, int]] | None) -> "Scene":
-        """Same scene with panel 0 restricted to the given cells (None: all)."""
-        cells = None if active is None else frozenset(active)
-        first = replace(self.nirs_panels[0], active_cells=cells)
-        return replace(self, nirs_panels=(first,) + self.nirs_panels[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -201,20 +201,6 @@ def enumerate_paths(scene: Scene, rx_index: int, max_bounces: int = 2) -> list[P
 # ---------------------------------------------------------------------------
 # Sweep synthesis
 # ---------------------------------------------------------------------------
-def phasor_transfer(freqs_hz: np.ndarray, delays_s, amplitudes) -> np.ndarray:
-    """Sum of path phasors: H(f) = sum_p A_p(f) exp(-j 2 pi f tau_p).
-
-    ``amplitudes`` is (P,) for frequency-flat paths or (P, N) per-frequency.
-    """
-    freqs = np.asarray(freqs_hz, dtype=float)
-    delays = np.atleast_1d(np.asarray(delays_s, dtype=float))
-    amps = np.asarray(amplitudes, dtype=float)
-    if amps.ndim == 1:
-        amps = amps[:, None] * np.ones_like(freqs)[None, :]
-    phase = np.exp(-2j * np.pi * freqs[None, :] * delays[:, None])
-    return (amps * phase).sum(axis=0)
-
-
 def _angle_between_deg(a: np.ndarray, b: np.ndarray) -> float:
     c = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))

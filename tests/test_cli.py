@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -61,10 +62,7 @@ def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file):
 
 def test_synth_full_corridor_has_180_directions(tmp_path):
     out = tmp_path / "bundles"
-    rc = main([
-        "synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out),
-        "--rx-index", "0",
-    ])
+    rc = main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out)])
     assert rc == 0
     sweeps = np.load(out / "rx000" / "sweeps.npy", allow_pickle=False)
     assert sweeps.shape == (5, 36, 101)
@@ -86,21 +84,9 @@ def test_synth_three_bounces_leaks_no_numpy_warning(tmp_path):
     assert len(list((tmp_path / "b").iterdir())) == 12
 
 
-@pytest.mark.parametrize("rx_index", ["9", "-1"])
-def test_synth_rx_index_out_of_range_names_flag_and_scene(tmp_path, capsys, rx_index):
-    scene, out = f"{SCENES}/corridor_mini.json", tmp_path / "b"
-    rc = main(["synth", "--scene", scene, "--out", str(out), "--rx-index", rx_index])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: --rx-index {rx_index}: {scene} has 9 receivers\n"
-    assert not out.exists()
-
-
 def test_synth_flags_panel_free_scene(tmp_path):
     out = tmp_path / "bundles"
-    rc = main([
-        "synth", "--scene", f"{SCENES}/corridor_mini_no_nirs.json", "--out", str(out),
-        "--rx-index", "0",
-    ])
+    rc = main(["synth", "--scene", f"{SCENES}/corridor_mini_no_nirs.json", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "rx000" / "manifest.json").read_text())
     assert manifest["nirs"] is False
@@ -210,15 +196,16 @@ def _utf16_scene(tmp_path):
     return _utf16(scene), ["synth", "--scene", str(scene), "--out", str(tmp_path / "o")]
 
 
-def _rx0_bundle(tmp_path) -> Path:
+def _mini_bundles(tmp_path) -> Path:
+    """Direct-path bundles of every corridor_mini receiver; pipeline reads rx000 first."""
     bundles = tmp_path / "b"
     assert main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(bundles),
-                 "--rx-index", "0", "--max-bounces", "0"]) == 0
+                 "--max-bounces", "0"]) == 0
     return bundles
 
 
 def _utf16_manifest(tmp_path):
-    scene, bundles = f"{SCENES}/corridor_mini.json", _rx0_bundle(tmp_path)
+    scene, bundles = f"{SCENES}/corridor_mini.json", _mini_bundles(tmp_path)
     return _utf16(bundles / "rx000" / "manifest.json"), [
         "pipeline", "--scene", scene, "--bundle", str(bundles), "--out", str(tmp_path / "o")
     ]
@@ -226,7 +213,7 @@ def _utf16_manifest(tmp_path):
 
 def _sweep_csv_input(tmp_path, spoil):
     """A ``--connect`` CSV passed through ``spoil``, and the pipeline argv that reads it."""
-    scene, bundles = f"{SCENES}/corridor_mini.json", _rx0_bundle(tmp_path)
+    scene, bundles = f"{SCENES}/corridor_mini.json", _mini_bundles(tmp_path)
     connect = tmp_path / "connect.csv"
     write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), connect)
     return spoil(connect), ["pipeline", "--scene", scene, "--bundle", str(bundles),
@@ -319,7 +306,7 @@ def test_long_sweep_header_is_echoed_as_a_prefix(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["frequency_plan", "scan_grid"])
 def test_pipeline_rejects_a_bundle_that_does_not_match_the_scene(tmp_path, capsys, field):
-    bundles = _rx0_bundle(tmp_path)
+    bundles = _mini_bundles(tmp_path)
     if field == "frequency_plan":  # 306-321 GHz against the bundle's 306-306.25 GHz
         scene = f"{SCENES}/corridor.json"
     else:
@@ -342,7 +329,7 @@ def test_pipeline_rejects_a_second_panel(tmp_path, capsys):
     scene = tmp_path / "two_panels.json"
     scene.write_text(json.dumps(data))
     bundles = tmp_path / "b"
-    assert main(["synth", "--scene", str(scene), "--out", str(bundles), "--rx-index", "0",
+    assert main(["synth", "--scene", str(scene), "--out", str(bundles),
                  "--max-bounces", "1"]) == 0
     capsys.readouterr()
     out = tmp_path / "r.csv"
@@ -355,7 +342,7 @@ def test_pipeline_rejects_a_second_panel(tmp_path, capsys):
 
 
 def test_manifest_bad_frequency_plan_names_the_file(tmp_path, capsys):
-    bundles = _rx0_bundle(tmp_path)
+    bundles = _mini_bundles(tmp_path)
     manifest = bundles / "rx000" / "manifest.json"
     raw = json.loads(manifest.read_text())
     raw["frequency_plan"]["f_stop_hz"] = raw["frequency_plan"]["f_start_hz"] - 1e9
@@ -386,6 +373,38 @@ def test_internal_key_error_exits_1(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert capsys.readouterr().err == "error: internal: 'b_grid'\n"
+
+
+def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(entries, path):
+        raise ValueError("table slip")
+
+    monkeypatch.setattr("thznirs.cli.write_fit_table_csv", broken)
+    rc = main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: internal: table slip\n"
+
+
+def test_undecodable_scenario_name_exits_2_naming_the_output(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--generate", "sc\udcff,306-321GHz,15.79,3.52,0.59,1.51",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_out_through_a_symlink_to_a_device_writes_the_device(tmp_path):
+    link = tmp_path / "null"
+    link.symlink_to(os.devnull)
+    rc = main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+               "--out", str(link)])
+    assert rc == 0
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert list(tmp_path.iterdir()) == [link]
 
 
 def test_missing_scene_file_exits_2(tmp_path, capsys):
@@ -493,9 +512,9 @@ def test_pipeline_rejects_duplicate_rx_ids(tmp_path, mini_scene_file, capsys):
 def test_pipeline_names_bundle_whose_rx_the_scene_lacks(tmp_path, capsys):
     out = tmp_path / "bundles"
     assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
-                 "--rx-index", "10", "--max-bounces", "1"]) == 0
+                 "--max-bounces", "1"]) == 0
     scene_file = f"{SCENES}/corridor_mini.json"
-    rc = main(["pipeline", "--scene", scene_file, "--bundle", str(out),
+    rc = main(["pipeline", "--scene", scene_file, "--bundle", str(out / "rx010"),
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -506,7 +525,7 @@ def test_pipeline_names_bundle_whose_rx_the_scene_lacks(tmp_path, capsys):
 
 def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
     out = tmp_path / "bundles"
-    main(["synth", "--scene", str(mini_scene_file), "--out", str(out), "--rx-index", "0"])
+    main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
     plan = PLAN_MINI_306
     gain = 10.0 ** ((7.0 + 25.0) / 20.0)
     connect = FrequencySweep(plan, np.ones(plan.point_count, dtype=complex))
@@ -527,7 +546,7 @@ def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
 
 
 def test_pipeline_extra_needs_connect(tmp_path, capsys):
-    bundles = _rx0_bundle(tmp_path)
+    bundles = _mini_bundles(tmp_path)
     extra = tmp_path / "extra.csv"
     write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), extra)
     capsys.readouterr()
@@ -572,7 +591,7 @@ NON_FINITE_SWEEPS = {
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_SWEEPS))
 def test_pipeline_non_finite_sweep_names_the_file(tmp_path, capsys, case):
-    bundles = _rx0_bundle(tmp_path)
+    bundles = _mini_bundles(tmp_path)
     named, reason = NON_FINITE_SWEEPS[case](tmp_path, bundles)
     capsys.readouterr()
     out = tmp_path / "r.csv"
@@ -1084,6 +1103,18 @@ def test_cli_import_and_fit_load_only_the_fitter(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("caller", [None, "3"])
+def test_cli_import_defaults_openblas_to_one_thread(caller):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    code = "import os, thznirs.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (caller or "1")
 
 
 def test_coverage_import_loads_no_synthesizer_or_fitter():

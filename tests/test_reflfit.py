@@ -253,6 +253,23 @@ def test_lockstep_fits_equal_single_fits():
     assert fits[-1].model.c == 0.0 and fits[-1].model.a > 0.0
 
 
+def test_no_window_fits_the_same_exponent_twice(monkeypatch):
+    exponents = {}  # window (by its angles array) -> every b fitted for it
+    conditional = reflfit._phi_conditional
+
+    def recording(tasks):
+        for angles, _, _, _, b in tasks:
+            exponents.setdefault(id(angles), []).extend(b.tolist())
+        return conditional(tasks)
+
+    monkeypatch.setattr(reflfit, "_phi_conditional", recording)
+    groups = _lockstep_groups()
+    reflfit.fit_refl_models(groups)
+    assert len(exponents) == len(groups)
+    for fitted in exponents.values():
+        assert len(fitted) == len(set(fitted))
+
+
 def test_lockstep_gives_each_bad_group_its_own_error():
     good = _lockstep_groups()[:3]
     small = good[0][:3]

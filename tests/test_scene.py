@@ -273,10 +273,18 @@ PANEL_SCENES = {
 CELL_VARIANTS = {"all": None, "one": [(1, 1)], "corners": [(0, 0), (0, 2), (2, 0), (2, 2)]}
 
 
+def _with_panel_cells(scene, cells):
+    """``scene`` with panel 0 restricted to ``cells`` (None: all)."""
+    first = dataclasses.replace(
+        scene.nirs_panels[0], active_cells=None if cells is None else frozenset(cells)
+    )
+    return dataclasses.replace(scene, nirs_panels=(first,) + scene.nirs_panels[1:])
+
+
 @pytest.mark.parametrize("cells", sorted(CELL_VARIANTS))
 @pytest.mark.parametrize("name", sorted(PANEL_SCENES))
 def test_angle_set_equals_ray_loop(name, cells):
-    scene = PANEL_SCENES[name].with_panel_cells(CELL_VARIANTS[cells])
+    scene = _with_panel_cells(PANEL_SCENES[name], CELL_VARIANTS[cells])
     for k in range(scene.n_rx):
         assert nirs_angle_set(scene, k) == oracle.nirs_angle_set(scene, k), k
 
@@ -348,8 +356,8 @@ def test_angle_set_monotone_in_panel_area(rng):
         subset_cells = [all_cells[i] for i in rng.choice(9, size=k, replace=False)]
         extra = [all_cells[i] for i in rng.choice(9, size=min(9, k + 2), replace=False)]
         superset_cells = sorted(set(subset_cells) | set(extra))
-        small = nirs_angle_set(scene.with_panel_cells(subset_cells), 0)
-        big = nirs_angle_set(scene.with_panel_cells(superset_cells), 0)
+        small = nirs_angle_set(_with_panel_cells(scene, subset_cells), 0)
+        big = nirs_angle_set(_with_panel_cells(scene, superset_cells), 0)
         assert small <= big
 
 
@@ -515,7 +523,7 @@ def test_preset_scenes_claiming_benefit_have_shinier_panels():
     # scenes built to show a reflector benefit must make the panel strictly
     # less lossy than every wall
     for scene in (corridor_scene(plan=PLAN_MINI_306), hallway_scene(plan=PLAN_MINI_306)):
-        min_wall = min(w.material_loss.min_loss_db() for w in scene.walls)
+        min_wall = min(loss for w in scene.walls for _, loss in w.material_loss.points)
         for panel in scene.nirs_panels:
-            assert panel.material_loss.min_loss_db() < min_wall
+            assert min(loss for _, loss in panel.material_loss.points) < min_wall
         assert scene.tx_position[2] == 2.0 and np.all(scene.rx_positions[:, 2] == 1.75)

@@ -27,7 +27,6 @@ from thznirs.synthchan import (
     PropagationPath,
     direction_filename,
     enumerate_paths,
-    phasor_transfer,
     read_bundle,
     read_sweep_csv,
     synthesize_sweep,
@@ -179,23 +178,6 @@ def test_random_boxes_reach_every_bounce_order():
 # ---------------------------------------------------------------------------
 # sweep synthesis
 # ---------------------------------------------------------------------------
-def test_phasor_transfer_single_unit_path(paper_plan):
-    freqs = frequency_grid(paper_plan)
-    h = phasor_transfer(freqs, [1e-7], [1.0])
-    assert np.allclose(h, np.exp(-2j * np.pi * freqs * 1e-7), rtol=0, atol=1e-12)
-
-
-def test_two_path_midband_notch(paper_plan):
-    freqs = frequency_grid(paper_plan)
-    f_mid = paper_plan.center_hz
-    dtau = 1.0 / (2.0 * f_mid)  # pi phase difference at midband
-    h = phasor_transfer(freqs, [100e-9, 100e-9 + dtau], [1.0, 1.0])
-    mid = paper_plan.point_count // 2
-    assert freqs[mid] == f_mid
-    assert abs(h[mid]) < 1e-10
-    assert abs(h[0]) > 1e-3  # away from the notch the paths do not cancel
-
-
 def test_synthesize_single_path_matches_closed_form():
     scene = _open_room([10.0, 0.0, 2.0], [0.0, 0.0, 2.0])
     bundle = synthesize_sweep(scene, 0, max_bounces=0)
