@@ -10,19 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from thznirs.pathloss import CiModel
-from thznirs.pdap import pdap_from_sweeps
+from thznirs.pathloss import CiModel, rx_path_loss
 from thznirs.presets import PLAN_MINI_306, corridor_scene
 from thznirs.reflfit import (
     ReflLossModel,
     ReflSample,
-    additional_reflection_loss,
     fit_refl_model,
     generate_samples,
     write_fit_table_csv,
 )
-from thznirs.pathloss import directional_path_loss
-from thznirs.scene import nirs_angle_set, rx_link_geometry
 from thznirs.synthchan import synthesize_sweep
 
 out_dir = Path(__file__).parent / "output"
@@ -32,18 +28,16 @@ ci = CiModel(ple=1.35)
 with_scene = corridor_scene(plan=PLAN_MINI_306)
 without_scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
 plan = with_scene.frequency_plan
-gain_db = 7.0 + 25.0  # boresight antenna gains embedded by the synthesizer
+# calibration divisor: the 7 + 25 dBi boresight antenna gains embedded by the synthesizer
+gains = 10.0 ** ((7.0 + 25.0) / 20.0)
 
 
 def l_ref_per_rx(scene):
     values = []
     for k in range(scene.n_rx):
-        bundle = synthesize_sweep(scene, k)
-        pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, plan.span_hz)
-        window = nirs_angle_set(with_scene, k)  # panel-defined window for both
-        pl_dir = directional_path_loss(pdap, window) + gain_db
-        phi, _, d1, d2 = rx_link_geometry(with_scene, k)
-        values.append((phi, additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)))
+        # the with-panel scene defines the angle window and geometry for both
+        row = rx_path_loss(with_scene, k, synthesize_sweep(scene, k).sweeps, gains, ci)
+        values.append((row.reflection_angle_deg, row.l_ref_db))
     return values
 
 print("additional reflection loss per receiver (panel vs bare corner):")

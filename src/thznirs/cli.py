@@ -53,11 +53,14 @@ def _worker_count() -> int:
 
 
 def _parse_range(spec: str) -> np.ndarray:
-    """'start:step:stop' (stop included within 1e-9 steps) or a comma list."""
+    """'start:step:stop' (stop included within 1e-9 steps) or a comma list of finite numbers."""
     try:
+        values = [float(x) for x in spec.split(":" if ":" in spec else ",")]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values must be finite")
         if ":" not in spec:
-            return np.array([float(x) for x in spec.split(",")])
-        start, step, stop = (float(x) for x in spec.split(":"))
+            return np.array(values)
+        start, step, stop = values
         if step <= 0:
             raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9) + 1
@@ -67,12 +70,16 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _csv_rows(path: str, first: str, second: str, parse) -> list:
-    """``parse(k, row)`` of each dict row of CSV ``path``, which needs ``first`` and ``second``."""
+    """``parse(k, row)`` of each dict row of CSV ``path``, which needs ``first`` and
+    ``second`` and at least one data row."""
     with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if not {first, second} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: needs columns {first} and {second}")
-        return parse_rows(path, list(reader), parse)
+        rows = parse_rows(path, list(reader), parse)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +114,9 @@ def _bundle_dirs(root: Path) -> list[Path]:
 
 def _cmd_pipeline(args) -> int:
     from .calibrate import SystemResponse
-    from .pathloss import (
-        CiModel,
-        RxPathLossRow,
-        directional_path_loss,
-        omni_path_loss,
-        write_pathloss_csv,
-    )
-    from .pdap import DEFAULT_NOISE_THRESHOLD_DB, pdap_from_sweeps
-    from .reflfit import additional_reflection_loss
-    from .scene import load_scene, nirs_angle_set, rx_link_geometry
+    from .pathloss import CiModel, rx_path_loss, write_pathloss_csv
+    from .pdap import DEFAULT_NOISE_THRESHOLD_DB
+    from .scene import load_scene
     from .synthchan import read_bundle, read_sweep_csv
 
     scene = load_scene(args.scene)
@@ -134,14 +134,13 @@ def _cmd_pipeline(args) -> int:
         extra = read_sweep_csv(args.extra, plan=connect.plan) if args.extra else None
         sys_resp = SystemResponse(connect=connect, extra=extra)
 
-    # every bundle must match the scene's plan and grid, so the scene's serve them all
-    plan = scene.frequency_plan
     ci = CiModel(ple=args.ple)
     threshold_db = DEFAULT_NOISE_THRESHOLD_DB if args.threshold_db is None else args.threshold_db
     rows = []
     seen: dict[int, Path] = {}
     bundle_dirs = _bundle_dirs(Path(args.bundle))
-    divisor = None if sys_resp is None else sys_resp.divisor(plan)
+    # every bundle must match the scene's plan and grid, so the scene's serve them all
+    divisor = None if sys_resp is None else sys_resp.divisor(scene.frequency_plan)
     for bdir in bundle_dirs:
         bundle = read_bundle(bdir)
         m = bundle.manifest
@@ -159,21 +158,7 @@ def _cmd_pipeline(args) -> int:
                                    ("scan_grid", m.grid, scene.scan_grid)):
             if ours != theirs:
                 raise ValidationError(f"bundle {bdir}: {name} does not match scene {args.scene}")
-        sweeps = bundle.sweeps if divisor is None else bundle.sweeps / divisor
-        pdap = pdap_from_sweeps(
-            sweeps, scene.scan_grid, plan.span_hz, noise_threshold_db=threshold_db
-        )
-        angles = nirs_angle_set(scene, m.rx_index)
-        if not angles:
-            raise ValidationError(
-                f"angle set for rx {m.rx_index} is empty; "
-                "no scan direction intersects the panel"
-            )
-        pl_dir = directional_path_loss(pdap, angles)
-        pl_omni = omni_path_loss(pdap)
-        phi, _spec, d1, d2 = rx_link_geometry(scene, m.rx_index)
-        l_ref = additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)
-        rows.append(RxPathLossRow(m.rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref))
+        rows.append(rx_path_loss(scene, m.rx_index, bundle.sweeps, divisor, ci, threshold_db))
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_pathloss_csv(rows, args.out)
@@ -288,6 +273,8 @@ def _cmd_fit(args) -> int:
 def _read_pl_omni(path: str, n_rx: int) -> np.ndarray:
     def rx_loss(_: int, row: dict) -> tuple[int, float]:
         k, value = int(row["rx_id"]), float(row["pl_omni_db"])
+        if not 0 <= k < n_rx:
+            raise ValueError(f"rx_id {k} is not one of the scene's rx ids 0..{n_rx - 1}")
         if not math.isfinite(value):
             raise ValueError(f"pl_omni_db must be finite, got {value}")
         return k, value

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import NoSignalError, ValidationError
 from .fileio import atomic_write
-from .pdap import SENTINEL_DB, Pdap
-from .scene import SPEED_OF_LIGHT
+from .pdap import DEFAULT_NOISE_THRESHOLD_DB, SENTINEL_DB, Pdap, pdap_from_sweeps
+from .reflfit import additional_reflection_loss
+from .scene import SPEED_OF_LIGHT, Scene, nirs_angle_set, rx_link_geometry
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class CiModel:
     ple: float
 
     def __post_init__(self):
-        if not (self.ple > 0):
-            raise ValidationError("ci model: path-loss exponent must be positive")
+        if not (math.isfinite(self.ple) and self.ple > 0):
+            raise ValidationError("ci model: path-loss exponent must be finite and positive")
 
 
 def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
@@ -85,6 +86,26 @@ class RxPathLossRow:
     d1_m: float
     d2_m: float
     l_ref_db: float
+
+
+def rx_path_loss(scene: Scene, rx_index: int, sweeps: np.ndarray, divisor, ci: CiModel,
+                 threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB) -> RxPathLossRow:
+    """One receiver's row from its sweeps on the scene's plan and grid: divided
+    by the calibration ``divisor`` (unless None), profiled, summed over the
+    panel's angle set, and compared with the CI model at d1 + d2 for l_ref."""
+    plan = scene.frequency_plan
+    if divisor is not None:
+        sweeps = sweeps / divisor
+    pdap = pdap_from_sweeps(sweeps, scene.scan_grid, plan.span_hz, noise_threshold_db=threshold_db)
+    angles = nirs_angle_set(scene, rx_index)
+    if not angles:
+        raise ValidationError(f"angle set for rx {rx_index} is empty; "
+                              "no scan direction intersects the panel")
+    pl_dir = directional_path_loss(pdap, angles)
+    pl_omni = omni_path_loss(pdap)
+    phi, _spec, d1, d2 = rx_link_geometry(scene, rx_index)
+    l_ref = additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)
+    return RxPathLossRow(rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref)
 
 
 def write_pathloss_csv(rows: Iterable[RxPathLossRow], path) -> None:

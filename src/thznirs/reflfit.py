@@ -61,7 +61,6 @@ class ReflSample:
     rx_id: int
     reflection_angle_deg: float
     additional_loss_db: float
-    with_nirs: bool = True
     band_label: str = ""
 
     def __post_init__(self):
@@ -294,12 +293,9 @@ def _refined_search(windows: list[tuple]) -> list[tuple]:
 
 
 def _window(samples: Iterable[ReflSample]) -> tuple:
-    """Sorted with-NIRS (angles, losses) and their phi_bar search window
-    (lo, hi); raises ValidationError if the samples cannot be fitted."""
-    kept = sorted(
-        (s for s in samples if s.with_nirs),
-        key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id),
-    )
+    """Sorted (angles, losses) and their phi_bar search window (lo, hi);
+    raises ValidationError if the samples cannot be fitted."""
+    kept = sorted(samples, key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id))
     if len(kept) < 4:
         raise ValidationError(f"fit needs at least 4 with-NIRS samples, got {len(kept)}")
     angles = np.array([s.reflection_angle_deg for s in kept])
@@ -362,7 +358,7 @@ def fit_refl_models(groups: Iterable[Iterable[ReflSample]]) -> list[FitResult | 
 
 
 def fit_refl_model(samples: Iterable[ReflSample]) -> FitResult:
-    """Fit the polynomial law to the with-NIRS samples.
+    """Fit the polynomial law to the samples.
 
     Needs at least 4 samples over at least 3 distinct angles, with losses
     small enough that the search's squares and products stay finite in
@@ -380,7 +376,6 @@ def generate_samples(
     angles_deg: Sequence[float],
     noise_sigma_db: float = 0.0,
     rng: np.random.Generator | None = None,
-    with_nirs: bool = True,
     band_label: str = "",
 ) -> list[ReflSample]:
     """Samples drawn from the model, optionally with Gaussian dB noise."""
@@ -396,7 +391,6 @@ def generate_samples(
             rx_id=k,
             reflection_angle_deg=float(angle),
             additional_loss_db=float(val),
-            with_nirs=with_nirs,
             band_label=band_label,
         )
         for k, (angle, val) in enumerate(zip(angles_deg, values))

@@ -73,10 +73,7 @@ def _search(angles: np.ndarray, losses: np.ndarray, b_values: np.ndarray, lo: fl
 
 
 def fit_refl_model(samples) -> FitResult:
-    kept = sorted(
-        (s for s in samples if s.with_nirs),
-        key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id),
-    )
+    kept = sorted(samples, key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id))
     if len(kept) < 4:
         raise ValidationError(
             f"fit needs at least 4 with-NIRS samples, got {len(kept)}"

@@ -523,6 +523,24 @@ def test_pipeline_names_bundle_whose_rx_the_scene_lacks(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_pipeline_names_rx_whose_angle_set_is_empty(tmp_path, capsys):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
+                 "--max-bounces", "0"]) == 0
+    scene = json.loads(Path(f"{SCENES}/hallway_mini.json").read_text())
+    scene["nirs_panels"][0]["active_cells"] = [[1, 1]]  # the centre cell, seen by no direction
+    scene_file = tmp_path / "one_cell.json"
+    scene_file.write_text(json.dumps(scene))
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", str(scene_file), "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: angle set for rx 0 is empty; no scan direction intersects the panel"
+    ]
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
     out = tmp_path / "bundles"
     main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
@@ -728,6 +746,16 @@ def test_fit_samples_need_the_l_ref_column(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_samples_without_data_rows_exit_2(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("reflection_angle_deg,l_ref_db\n")
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {samples}: no data rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bad_rows, reason",
     [
@@ -848,7 +876,9 @@ def _write_results(path, scene_file, pl_values):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("spec", ["5:10", "a:1:3", "1,,2", "0:1:inf"])
+@pytest.mark.parametrize(
+    "spec", ["5:10", "a:1:3", "1,,2", "0:1:inf", "nan,1", "1,inf", "0:inf:30", "nan:1:3"]
+)
 def test_malformed_range_names_spec_exits_2(tmp_path, capsys, spec):
     scene_file = f"{SCENES}/corridor_mini.json"
     results = tmp_path / "results.csv"
@@ -921,6 +951,22 @@ def test_coverage_duplicate_rx_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(results) in err and "rx_id 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rx_id", ["-1", "9"])
+def test_coverage_unknown_rx_exits_2(tmp_path, capsys, rx_id):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "r.csv"
+    rows = [f"{rx_id},1"] + [f"{k},100" for k in range(9)]
+    results.write_text("rx_id,pl_omni_db\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "c.csv"
+    rc = main(["coverage", "--scene", scene_file, "--results", str(results),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {results}: data row 1: "
+                   f"rx_id {rx_id} is not one of the scene's rx ids 0..8\n")
     assert not out.exists()
 
 

@@ -144,8 +144,9 @@ def test_ci_monotone_in_distance_and_frequency():
 def test_ci_domain_and_invariants():
     with pytest.raises(ValidationError, match="below the 1.0 m reference"):
         ci_path_loss(CiModel(ple=2.0), 313.5e9, 0.5)
-    with pytest.raises(ValidationError):
-        CiModel(ple=0.0)
+    for ple in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="exponent must be finite and positive"):
+            CiModel(ple=ple)
 
 
 # ---------------------------------------------------------------------------

@@ -52,18 +52,9 @@ def test_domain_error_propagates():
 def test_recovers_panel_material_loss_against_free_space_reference():
     # one 5 dB panel, free-space exponent reference: the virtual-LoS excess
     # is the panel loss up to pattern-gain and leakage residue
-    from thznirs.pathloss import directional_path_loss
-    from thznirs.pdap import pdap_from_sweeps
+    from thznirs.pathloss import rx_path_loss
     from thznirs.presets import PLAN_MINI_306
-    from thznirs.scene import (
-        AntennaPattern,
-        LossTable,
-        NirsPanel,
-        Rectangle,
-        Scene,
-        nirs_angle_set,
-        rx_link_geometry,
-    )
+    from thznirs.scene import AntennaPattern, LossTable, NirsPanel, Rectangle, Scene
     from thznirs.synthchan import synthesize_sweep
 
     panel = NirsPanel(
@@ -81,34 +72,26 @@ def test_recovers_panel_material_loss_against_free_space_reference():
         rx_pattern=AntennaPattern(0.0, 8.0),
         frequency_plan=PLAN_MINI_306,
     )
-    bundle = synthesize_sweep(scene, 0, max_bounces=1)
-    pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, PLAN_MINI_306.span_hz)
-    pl_dir = directional_path_loss(pdap, nirs_angle_set(scene, 0))
-    _phi, _spec, d1, d2 = rx_link_geometry(scene, 0)
-    l_ref = additional_reflection_loss(pl_dir, CiModel(ple=2.0), PLAN_MINI_306.center_hz, d1, d2)
-    assert l_ref == pytest.approx(5.0, abs=1.0)
+    sweeps = synthesize_sweep(scene, 0, max_bounces=1).sweeps
+    row = rx_path_loss(scene, 0, sweeps, None, CiModel(ple=2.0))
+    assert row.l_ref_db == pytest.approx(5.0, abs=1.0)
 
 
 def test_nirs_benefit_mean_l_ref():
     # with the panel present, mean additional reflection loss drops
-    from thznirs.pathloss import directional_path_loss
-    from thznirs.pdap import pdap_from_sweeps
+    from thznirs.pathloss import rx_path_loss
     from thznirs.presets import PLAN_MINI_306, corridor_scene
-    from thznirs.scene import nirs_angle_set, rx_link_geometry
     from thznirs.synthchan import synthesize_sweep
 
     ci = CiModel(ple=1.35)
     with_scene = corridor_scene(plan=PLAN_MINI_306)
 
     def l_refs(scene):
-        out = []
-        for k in range(scene.n_rx):
-            bundle = synthesize_sweep(scene, k)
-            pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, PLAN_MINI_306.span_hz)
-            pl = directional_path_loss(pdap, nirs_angle_set(with_scene, k))
-            _phi, _spec, d1, d2 = rx_link_geometry(with_scene, k)
-            out.append(additional_reflection_loss(pl, ci, PLAN_MINI_306.center_hz, d1, d2))
-        return np.array(out)
+        # the with-panel scene defines the angle set and geometry for both
+        return np.array([
+            rx_path_loss(with_scene, k, synthesize_sweep(scene, k).sweeps, None, ci).l_ref_db
+            for k in range(scene.n_rx)
+        ])
 
     lref_with = l_refs(with_scene)
     lref_without = l_refs(corridor_scene(nirs=False, plan=PLAN_MINI_306))
@@ -304,18 +287,6 @@ def test_fit_errors():
 def test_sample_angle_must_lie_in_domain(angle):
     with pytest.raises(ValidationError, match=r"\[0, 90\]"):
         ReflSample(rx_id=0, reflection_angle_deg=angle, additional_loss_db=1.0)
-
-
-def test_fit_uses_only_with_nirs_samples():
-    gen = TABLE_ROWS[("hallway", "306-321GHz")]
-    clean = generate_samples(gen, EIGHT_ANGLES)
-    noise = [
-        ReflSample(rx_id=100 + k, reflection_angle_deg=a, additional_loss_db=40.0, with_nirs=False)
-        for k, a in enumerate(EIGHT_ANGLES)
-    ]
-    assert fit_refl_model(clean + noise) == fit_refl_model(clean)
-    with pytest.raises(ValidationError, match="at least 4 with-NIRS samples"):
-        fit_refl_model(noise)
 
 
 def test_fit_is_permutation_invariant(rng):
