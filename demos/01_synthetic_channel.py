@@ -16,10 +16,10 @@ print(f"panel subdivided {scene.nirs_panels[0].subdivision[0]}x{scene.nirs_panel
 paths = enumerate_paths(scene, rx_index=0, max_bounces=2)
 print(f"\n{len(paths)} propagation paths reach receiver 0 (max 2 bounces):")
 for p in paths:
-    via = " -> ".join(p.surfaces_hit) if p.surfaces_hit else "line of sight blocked? no: direct"
+    via = " -> ".join(p.surfaces_hit) or "direct"
     print(
         f"  {p.total_length_m:6.2f} m  {p.delay_s * 1e9:7.2f} ns  "
-        f"{p.cumulative_reflection_loss_db:5.1f} dB reflection loss  via {via or 'direct'}"
+        f"{p.cumulative_reflection_loss_db:5.1f} dB reflection loss  via {via}"
     )
 
 bundle = synthesize_sweep(scene, rx_index=0)

@@ -36,17 +36,7 @@ from .reflfit import (  # noqa: E402
 
 
 def _worker_count() -> int:
-    """THZ_NIRS_THREADS caps fit's worker processes; 0 or unset means the
-    CPUs this process may run on, at most 4."""
-    raw = os.environ.get("THZ_NIRS_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"THZ_NIRS_THREADS must be an integer, got '{raw}'")
-    if cap < 0:
-        raise ValidationError("THZ_NIRS_THREADS must be >= 0")
-    if cap > 0:
-        return cap
+    """fit's worker processes: the CPUs this process may run on, at most 4."""
     if hasattr(os, "sched_getaffinity"):
         return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
@@ -65,7 +55,7 @@ def _parse_range(spec: str) -> np.ndarray:
             raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9) + 1
         return start + step * np.arange(n)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too many points
         raise ValidationError(f"range '{spec}': {exc}") from None
 
 
@@ -130,8 +120,8 @@ def _cmd_pipeline(args) -> int:
         raise ValidationError("--extra needs --connect")
     sys_resp = None
     if args.connect:
-        connect = read_sweep_csv(args.connect)
-        extra = read_sweep_csv(args.extra, plan=connect.plan) if args.extra else None
+        connect = read_sweep_csv(args.connect, plan=scene.frequency_plan)
+        extra = read_sweep_csv(args.extra, plan=scene.frequency_plan) if args.extra else None
         sys_resp = SystemResponse(connect=connect, extra=extra)
 
     ci = CiModel(ple=args.ple)
@@ -168,9 +158,17 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
+def _table_name(where: str, name: str) -> str:
+    """``name``, a scenario or band, which the fit table writes unquoted."""
+    if "," in name or '"' in name or "".join(name.splitlines()) != name:
+        raise ValidationError(f"{where} {name!r} holds a comma, a double quote or a line break")
+    return name
+
+
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     def keyed_sample(k: int, row: dict):
-        key = (row.get("scenario") or scenario or "samples", row.get("band") or band or "")
+        key = (_table_name("scenario", row.get("scenario") or scenario or "samples"),
+               _table_name("band", row.get("band") or band or ""))
         return key, ReflSample(
             rx_id=int(row.get("rx_id", k)),
             reflection_angle_deg=float(row["reflection_angle_deg"]),
@@ -224,7 +222,8 @@ def _cmd_fit(args) -> int:
             raise ValidationError(
                 "--generate expects 'scenario,band,phi_bar,a,b,c'"
             )
-        scenario, band = parts[0], parts[1]
+        scenario, band = (_table_name(f"--generate: {name}", text)
+                          for name, text in zip(("scenario", "band"), parts))
         values = []
         for name, text in zip(("phi_bar", "a", "b", "c"), parts[2:]):
             try:
@@ -244,6 +243,9 @@ def _cmd_fit(args) -> int:
         )
         groups = {(scenario, band): samples}
     else:
+        for flag, name in (("--scenario", args.scenario), ("--band", args.band)):
+            if name is not None:
+                _table_name(flag, name)
         groups = _read_samples_csv(args.samples, args.scenario, args.band)
 
     keys = sorted(groups)

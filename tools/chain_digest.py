@@ -14,11 +14,12 @@ yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
 
 then one fit --generate with noise, and one fit --samples of 16 seeded noisy
 groups from the paper's fit table (half on 8 angles, half on 24), written
-once with THZ_NIRS_THREADS unset and once with 1, so that the worker batches
-are covered.  The calibration fixtures are those of acceptance criterion 10:
-a unity through reference and a setup factor equal to the 7 + 25 dBi
-boresight gains.  The script prints ``sha256  path`` for
-every file under OUT, paths relative to OUT and sorted, so two checkouts
+once as is and once by a process restricted to one CPU of this script's own
+(where ``os.sched_setaffinity`` exists), so that both the worker batches and
+the serial fit are covered.  The calibration fixtures are those of acceptance
+criterion 10: a unity through reference and a setup factor equal to the
+7 + 25 dBi boresight gains.  The script prints ``sha256  path`` for every file
+under OUT, paths relative to OUT and sorted, so two checkouts
 compare with one ``diff``.  It runs no demo: those write into the checkout.
 """
 
@@ -49,14 +50,18 @@ FIT_TABLE = (
 )
 
 
-def _thznirs(*argv: str, threads: str | None = None) -> None:
-    """Run one step; THZ_NIRS_THREADS is ``threads``, or unset if None."""
+def _one_cpu() -> None:
+    """Restrict the calling process to one of the CPUs it may run on."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _thznirs(*argv: str, serial: bool = False) -> None:
+    """Run one step; with ``serial``, on one CPU, so that fit starts no workers."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("THZ_NIRS_THREADS", None)
-    if threads is not None:
-        env["THZ_NIRS_THREADS"] = threads
     proc = subprocess.run(
-        [sys.executable, "-m", "thznirs", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "thznirs", *argv], env=env, capture_output=True, text=True,
+        preexec_fn=_one_cpu if serial else None,
     )
     if proc.returncode != 0:
         sys.exit(f"chain_digest: 'thznirs {' '.join(argv)}' exited {proc.returncode}: "
@@ -108,7 +113,7 @@ def run_chain(out: Path) -> None:
              "--noise-sigma", "0.5", "--seed", "0", "--out", str(out / "generated.csv"))
     samples = str(_fit_groups(out / "fit_groups.csv"))
     _thznirs("fit", "--samples", samples, "--out", str(out / "fit_groups_table.csv"))
-    _thznirs("fit", "--samples", samples, "--out", str(out / "fit_groups_table_1.csv"), threads="1")
+    _thznirs("fit", "--samples", samples, "--out", str(out / "fit_groups_table_1.csv"), serial=True)
 
 
 def main(argv: list[str]) -> int:
