@@ -166,7 +166,10 @@ def _table_name(where: str, name: str) -> str:
 
 
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
+    flags = (("scenario", scenario), ("band", band))
+    needed = set()  # the columns a row leaves empty, for its flag to fill in
     def keyed_sample(k: int, row: dict):
+        needed.update(column for column, _ in flags if not row.get(column))
         key = (_table_name("scenario", row.get("scenario") or scenario or "samples"),
                _table_name("band", row.get("band") or band or ""))
         return key, ReflSample(
@@ -179,6 +182,9 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     groups: dict[tuple[str, str], list[ReflSample]] = {}
     for key, sample in _csv_rows(path, "reflection_angle_deg", "l_ref_db", keyed_sample):
         groups.setdefault(key, []).append(sample)
+    for column, flag in flags:
+        if flag is not None and column not in needed:
+            raise ValidationError(f"--{column} {flag!r}: every row of {path} has its own {column}")
     return groups
 
 
@@ -216,6 +222,11 @@ def _worker_map(workers: int):
 def _cmd_fit(args) -> int:
     if bool(args.samples) == bool(args.generate):
         raise ValidationError("fit needs exactly one of --samples or --generate")
+    for flag, name in (("--scenario", args.scenario), ("--band", args.band)):
+        if name is not None:
+            _table_name(flag, name)
+            if args.generate:
+                raise ValidationError(f"{flag} {name!r} does not apply to --generate")
     if args.generate:
         parts = args.generate.split(",")
         if len(parts) != 6:
@@ -243,9 +254,6 @@ def _cmd_fit(args) -> int:
         )
         groups = {(scenario, band): samples}
     else:
-        for flag, name in (("--scenario", args.scenario), ("--band", args.band)):
-            if name is not None:
-                _table_name(flag, name)
         groups = _read_samples_csv(args.samples, args.scenario, args.band)
 
     keys = sorted(groups)

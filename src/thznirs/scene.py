@@ -361,10 +361,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class RectangleStack:
     """n rectangles as arrays: the one mirror and ray-crossing kernel.
 
-    Vectors are (n, 3) and scalars (n,); they broadcast against leading
-    axes of the query points.  Each operation repeats the arithmetic of the
-    scalar reference in ``tests/synthchan_oracle.py`` step for step, so the
-    results equal it bit for bit.
+    Vectors are (n, 3) and scalars (n,), read-only as ``of`` builds them;
+    they broadcast against leading axes of the query points.  Each operation
+    repeats the arithmetic of the scalar reference in
+    ``tests/synthchan_oracle.py`` step for step, so the results equal it bit
+    for bit.
     """
 
     origin: np.ndarray
@@ -384,7 +385,8 @@ class RectangleStack:
 
         u, v = stack("u"), stack("v")
         cut, pad_s, pad_t = np.array([r._margins() for r in rects], dtype=float).reshape(-1, 3).T
-        return cls(stack("origin"), u, v, stack("normal"), _dot(u, u), _dot(v, v), cut, pad_s, pad_t)
+        arrays = (stack("origin"), u, v, stack("normal"), _dot(u, u), _dot(v, v), cut, pad_s, pad_t)
+        return cls(*map(_readonly, arrays))
 
     def take(self, index) -> "RectangleStack":
         """The rectangles at ``index``, e.g. one per query row."""
@@ -457,20 +459,6 @@ class NirsPanel:
                     )
             object.__setattr__(self, "active_cells", cells)
 
-    def active_rectangles(self) -> list[tuple[tuple[int, int], Rectangle]]:
-        """((row, col), sub-panel rectangle) of every active cell, in (row, col) order."""
-        rect = self.rectangle
-        rows, cols = self.subdivision
-        cells = self.active_cells
-        if cells is None:
-            cells = [(r, c) for r in range(rows) for c in range(cols)]
-        u, v = rect.u / cols, rect.v / rows
-        out = []
-        for r, c in sorted(cells):
-            o = rect.origin + rect.u * (c / cols) + rect.v * (r / rows)
-            out.append(((r, c), Rectangle(corners=np.array([o, o + u, o + u + v, o + v]))))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Scene
@@ -505,6 +493,17 @@ class Scene:
         if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
             raise ValidationError("scene: rx positions must be an (n, 3) array, n >= 1")
         object.__setattr__(self, "rx_positions", _readonly([_vec3(p, "rx position") for p in rx]))
+        surfaces = [Surface(f"wall{i}", w.rectangle, w.material_loss) for i, w in enumerate(self.walls)]
+        for k, panel in enumerate(self.nirs_panels):
+            rect, (rows, cols) = panel.rectangle, panel.subdivision
+            cells = np.ndindex(rows, cols) if panel.active_cells is None else panel.active_cells
+            u, v = rect.u / cols, rect.v / rows
+            for r, c in sorted(cells):
+                o = rect.origin + rect.u * (c / cols) + rect.v * (r / rows)
+                cell = Rectangle(corners=np.array([o, o + u, o + u + v, o + v]))
+                surfaces.append(Surface(f"panel{k}[{r},{c}]", cell, panel.material_loss))
+        object.__setattr__(self, "_surfaces", tuple(surfaces))
+        object.__setattr__(self, "surface_stack", RectangleStack.of([s.rectangle for s in surfaces]))
 
     @property
     def n_rx(self) -> int:
@@ -516,15 +515,9 @@ class Scene:
         return self.rx_positions[rx_index]
 
     def surfaces(self) -> list[Surface]:
-        """Walls plus every active sub-panel, in a stable id order."""
-        out = [
-            Surface(f"wall{i}", w.rectangle, w.material_loss)
-            for i, w in enumerate(self.walls)
-        ]
-        for p_idx, panel in enumerate(self.nirs_panels):
-            for (r, c), rect in panel.active_rectangles():
-                out.append(Surface(f"panel{p_idx}[{r},{c}]", rect, panel.material_loss))
-        return out
+        """Walls ``wall{i}``, then each panel's active cells ``panel{k}[{r},{c}]`` in (row, col)
+        order, built once with the scene; ``surface_stack`` holds them row for row."""
+        return list(self._surfaces)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +536,11 @@ def nirs_angle_set(
     """
     grid = grid or scene.scan_grid
     rx = scene.rx_position(rx_index)
-    rects = [rect for panel in scene.nirs_panels for _, rect in panel.active_rectangles()]
-    if not rects:
+    cells = scene.surface_stack.take(slice(len(scene.walls), None))
+    if not cells.origin.shape[0]:
         warnings.warn("scene has no NIRS panel; angle set is empty", NoNirsPanelWarning)
         return frozenset()
-    r, _, hit = RectangleStack.of(rects).cross(rx, grid.direction_vectors()[..., None, :])
+    r, _, hit = cells.cross(rx, grid.direction_vectors()[..., None, :])
     el, az = np.nonzero((hit & (r > 1e-9)).any(axis=-1))
     return frozenset(zip(el.tolist(), az.tolist()))
 
@@ -734,14 +727,13 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
             _json_object(
                 p, "nirs panel", ("corners", "material_loss_db"), ("subdivision", "active_cells")
             )
-            active = p.get("active_cells", "all")
-            cells = None if active == "all" else frozenset((int(r), int(c)) for r, c in active)
+            cells = p.get("active_cells", "all")
             panels.append(
                 NirsPanel(
                     rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
                     material_loss=p["material_loss_db"],
                     subdivision=tuple(int(x) for x in p.get("subdivision", (3, 3))),
-                    active_cells=cells,
+                    active_cells=None if cells == "all" else cells,
                 )
             )
 

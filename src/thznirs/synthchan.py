@@ -156,8 +156,7 @@ def enumerate_paths(scene: Scene, rx_index: int, max_bounces: int = 2) -> list[P
         raise ValidationError("enumerate_paths: max_bounces must lie in [0, 3]")
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
-    surfaces = scene.surfaces()
-    rects = RectangleStack.of([s.rectangle for s in surfaces])
+    surfaces, rects = scene.surfaces(), scene.surface_stack
     paths: list[PropagationPath] = []
 
     if not _segment_hits(rects, tx, rx)[1].any():

@@ -185,7 +185,7 @@ def nirs_angle_set(
     """Scan-grid directions whose ray from the Rx hits an active sub-panel."""
     grid = grid or scene.scan_grid
     rx = scene.rx_position(rx_index)
-    rects = [rect for panel in scene.nirs_panels for _, rect in panel.active_rectangles()]
+    rects = [s.rectangle for s in scene.surfaces()[len(scene.walls):]]
     if not rects:
         warnings.warn("scene has no NIRS panel; angle set is empty", NoNirsPanelWarning)
         return frozenset()

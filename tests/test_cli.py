@@ -19,6 +19,7 @@ from thznirs.presets import PLAN_MINI_306, corridor_scene
 from thznirs.reflfit import ReflLossModel, additional_reflection_loss, generate_samples
 from thznirs.scene import (
     FrequencySweep,
+    Rectangle,
     ScanGrid,
     load_scene,
     nirs_angle_set,
@@ -58,6 +59,20 @@ def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file):
     assert manifest["format"] == "npy"
     assert manifest["nirs"] is True
     assert manifest["scenario_id"] == "mini"
+
+
+def test_synth_and_pipeline_validate_each_scene_rectangle_once(tmp_path, monkeypatch):
+    # hallway_mini: 7 walls, 1 panel and its 9 cells, for all 12 receivers.
+    validated = []
+    post_init = Rectangle.__post_init__
+    monkeypatch.setattr(Rectangle, "__post_init__", lambda r: validated.append(post_init(r)))
+    scene, bundles = f"{SCENES}/hallway_mini.json", str(tmp_path / "bundles")
+    assert main(["synth", "--scene", scene, "--max-bounces", "1", "--out", bundles]) == 0
+    assert len(validated) == 17
+    validated.clear()
+    assert main(["pipeline", "--scene", scene, "--bundle", bundles,
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(validated) == 17
 
 
 def test_synth_full_corridor_has_180_directions(tmp_path):
@@ -804,6 +819,46 @@ def test_fit_rejects_a_flag_name_that_would_split_a_table_field(
         argv += ["--samples", str(_samples_input(tmp_path, lambda path: path)[0])]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {named} {SPLITS_A_FIELD}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--scenario", "other"], "--scenario 'other': every row of {} has its own scenario"),
+        (["--band", "zz"], "--band 'zz': every row of {} has its own band"),
+        (["--scenario", "other", "--band", "zz"],
+         "--scenario 'other': every row of {} has its own scenario"),
+    ],
+    ids=["scenario", "band", "both"],
+)
+def test_fit_rejects_a_name_flag_that_no_samples_row_needs(tmp_path, capsys, flags, named):
+    samples = tmp_path / "s.csv"
+    samples.write_text("scenario,band,rx_id,reflection_angle_deg,l_ref_db\n"
+                       + "".join(f"s,b,{k},{5 + 10 * k},{10 + k}\n" for k in range(8)))
+    out = tmp_path / "t.csv"
+    assert main(["fit", "--samples", str(samples), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {named.format(samples)}\n"
+    assert not out.exists()
+
+
+def test_fit_name_flag_fills_the_rows_that_leave_the_column_empty(tmp_path):
+    samples = tmp_path / "s.csv"
+    samples.write_text("scenario,band,rx_id,reflection_angle_deg,l_ref_db\n"
+                       + "".join(f"s,b,{k},{5 + 10 * k},{10 + k}\n" for k in range(8))
+                       + "".join(f",b,{k},{5 + 10 * k},{12 + k}\n" for k in range(4)))
+    out = tmp_path / "t.csv"
+    assert main(["fit", "--samples", str(samples), "--scenario", "other", "--out", str(out)]) == 0
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+        ["other", "b"], ["s", "b"]]
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--band"])
+def test_fit_generate_rejects_a_name_flag(tmp_path, capsys, flag):
+    out = tmp_path / "t.csv"
+    argv = ["fit", "--generate", "c,b,17.51,2.80,0.48,7.4", flag, "x", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} 'x' does not apply to --generate\n"
     assert not out.exists()
 
 

@@ -235,6 +235,46 @@ def test_angle_set_without_panels_warns():
     assert found == frozenset()
 
 
+HALLWAY_MINI = Path(__file__).resolve().parent.parent / "scenes" / "hallway_mini.json"
+
+
+def _hallway_mini_with_cells(cells):
+    data = scene_to_dict(load_scene(HALLWAY_MINI))
+    data["nirs_panels"][0]["active_cells"] = cells
+    return scene_from_dict(data)
+
+
+def test_scene_surfaces_are_the_walls_then_the_active_cells_in_order():
+    scene = _hallway_mini_with_cells([[2, 0], [0, 1]])
+    surfaces = scene.surfaces()
+    assert [s.surface_id for s in surfaces] == [
+        *(f"wall{i}" for i in range(len(scene.walls))), "panel0[0,1]", "panel0[2,0]"]
+    # Pinned bit for bit: any change to the cell corner arithmetic moves them.
+    assert surfaces[-2].rectangle.corners.tolist() == [
+        [1.362114177668623, 1.6449568901432423, 1.05],
+        [1.644956890143242, 1.3621141776686232, 1.05],
+        [1.644956890143242, 1.3621141776686232, 1.3833333333333333],
+        [1.362114177668623, 1.6449568901432423, 1.3833333333333333],
+    ]
+    assert surfaces[-1].rectangle.corners.tolist() == [
+        [1.079271465194004, 1.9277996026178612, 1.7166666666666666],
+        [1.3621141776686232, 1.644956890143242, 1.7166666666666666],
+        [1.3621141776686232, 1.644956890143242, 2.05],
+        [1.079271465194004, 1.9277996026178612, 2.05],
+    ]
+    stack = scene.surface_stack
+    assert stack.origin.tolist() == [s.rectangle.origin.tolist() for s in surfaces]
+    assert not stack.origin.flags.writeable and not stack.pad_t.flags.writeable
+
+
+def test_scene_with_no_active_cell_has_no_panel_surface():
+    scene = _hallway_mini_with_cells([])
+    assert [s.surface_id for s in scene.surfaces()] == [f"wall{i}" for i in range(7)]
+    with pytest.warns(NoNirsPanelWarning):
+        found = nirs_angle_set(scene, 0)
+    assert found == frozenset()
+
+
 def test_angle_set_frontal_panel_matches_tangent_oracle():
     # Rx 1 m in front of a panel spanning +-45 degrees of azimuth: a grid
     # ray hits iff |tan(az)| <= 1 on the forward side.

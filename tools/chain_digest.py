@@ -12,7 +12,10 @@ yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
   fit on both with-panel results;
   coverage --thresholds=-10:1:30 on the calibrated pair;
 
-then one fit --generate with noise, and one fit --samples of 16 seeded noisy
+then, on a hallway_mini copy whose panel keeps only the cells (1, 1) and
+(0, 0) (listed out of that order), synth --max-bounces 3 and pipeline
+--connect/--extra --ple 1.35 against the full hallway_mini scene; then one
+fit --generate with noise, and one fit --samples of 16 seeded noisy
 groups from the paper's fit table (half on 8 angles, half on 24), written
 once as is and once by a process restricted to one CPU of this script's own
 (where ``os.sched_setaffinity`` exists), so that both the worker batches and
@@ -26,6 +29,7 @@ compare with one ``diff``.  It runs no demo: those write into the checkout.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -109,6 +113,16 @@ def run_chain(out: Path) -> None:
         _thznirs("coverage", "--scene", scene, "--results", str(d / "with.csv"),
                  "--results-without", str(d / "without.csv"), "--thresholds=-10:1:30",
                  "--out", str(d / "coverage.csv"))
+    d = out / "hallway_mini_partial"
+    d.mkdir()
+    data = json.loads((SCENES / "hallway_mini.json").read_text())
+    data["nirs_panels"][0]["active_cells"] = [[1, 1], [0, 0]]
+    (d / "scene.json").write_text(json.dumps(data, indent=2) + "\n")
+    _thznirs("synth", "--scene", str(d / "scene.json"), "--max-bounces", "3",
+             "--out", str(d / "bundles"))
+    _thznirs("pipeline", "--scene", str(SCENES / "hallway_mini.json"), "--bundle",
+             str(d / "bundles"), "--connect", str(connect), "--extra", str(extra), "--ple", "1.35",
+             "--out", str(d / "results.csv"))
     _thznirs("fit", "--generate", "corridor,306-321GHz,17.51,2.80,0.48,7.4", "--angles", "5:10:75",
              "--noise-sigma", "0.5", "--seed", "0", "--out", str(out / "generated.csv"))
     samples = str(_fit_groups(out / "fit_groups.csv"))
