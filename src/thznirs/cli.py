@@ -54,6 +54,8 @@ def _parse_range(spec: str) -> np.ndarray:
         if step <= 0:
             raise ValueError("step must be positive")
         n = math.floor((stop - start) / step + 1e-9) + 1
+        if n < 1:
+            raise ValueError("stop is below start, so the range has no points")
         return start + step * np.arange(n)
     except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too many points
         raise ValidationError(f"range '{spec}': {exc}") from None
@@ -116,6 +118,9 @@ def _cmd_pipeline(args) -> int:
             f"the angle set, got {len(scene.nirs_panels)}; pass the with-NIRS scene file "
             "even for without-NIRS bundles"
         )
+    if scene.nirs_panels[0].active_cells == frozenset():
+        raise ValidationError(f"{args.scene}: the NIRS panel has no active cell, so the angle "
+                              "set that pipeline sums over is empty")
     if args.extra and not args.connect:
         raise ValidationError("--extra needs --connect")
     sys_resp = None

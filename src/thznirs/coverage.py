@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write
+from .fileio import write_csv
 
 BOLTZMANN_W_S_PER_K = 1.381e-23
 
@@ -169,12 +169,8 @@ def write_coverage_csv(
     ratio_with: Sequence[float],
     ratio_without: Sequence[float] | None = None,
 ) -> None:
-    if ratio_without is None:
-        lines = ["threshold_db,ratio_with_nirs"]
-        for t, rw in zip(thresholds_db, ratio_with):
-            lines.append(f"{t:.6g},{rw:.6g}")
-    else:
-        lines = ["threshold_db,ratio_with_nirs,ratio_without_nirs"]
-        for t, rw, rwo in zip(thresholds_db, ratio_with, ratio_without):
-            lines.append(f"{t:.6g},{rw:.6g},{rwo:.6g}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    header, columns = "threshold_db,ratio_with_nirs", [thresholds_db, ratio_with]
+    if ratio_without is not None:
+        header += ",ratio_without_nirs"
+        columns.append(ratio_without)
+    write_csv(path, header, zip(*columns))

@@ -19,4 +19,4 @@ class NoSpecularGeometryError(ThzNirsError, ValueError):
 
 
 class NoNirsPanelWarning(UserWarning):
-    """Angle-set query on a scene without reflector panels."""
+    """Angle-set query on a scene with no active reflector panel cell."""

@@ -6,7 +6,9 @@ import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -43,6 +45,17 @@ def atomic_write(path, data: str | bytes | Callable[[BinaryIO], object]) -> None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header: str, rows: Iterable[Iterable]) -> None:
+    """The one CSV writer: ``header``, then each row's values joined by commas,
+    a float (numpy's too) to 6 significant digits and anything else by ``str``;
+    LF line ends, written by ``atomic_write``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format(v, ".6g") if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 @contextmanager

@@ -9,13 +9,13 @@ and the link budget applies its own gains explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import NoSignalError, ValidationError
-from .fileio import atomic_write
+from .fileio import write_csv
 from .pdap import DEFAULT_NOISE_THRESHOLD_DB, SENTINEL_DB, Pdap, pdap_from_sweeps
 from .reflfit import additional_reflection_loss
 from .scene import SPEED_OF_LIGHT, Scene, nirs_angle_set, rx_link_geometry
@@ -110,10 +110,5 @@ def rx_path_loss(scene: Scene, rx_index: int, sweeps: np.ndarray, divisor, ci: C
 
 def write_pathloss_csv(rows: Iterable[RxPathLossRow], path) -> None:
     """The pipeline results file: one row per receiver, sorted by rx id."""
-    lines = ["rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db"]
-    for r in sorted(rows, key=lambda r: r.rx_id):
-        lines.append(
-            f"{r.rx_id},{r.pl_dir_db:.6g},{r.pl_omni_db:.6g},"
-            f"{r.reflection_angle_deg:.6g},{r.d1_m:.6g},{r.d2_m:.6g},{r.l_ref_db:.6g}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, "rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db",
+              map(astuple, sorted(rows, key=lambda r: r.rx_id)))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .scene import ScanGrid, grid_to_json
 
 SENTINEL_DB = -300.0
@@ -115,18 +115,10 @@ def export_pdap_csv(pdap: Pdap, path) -> None:
     elevation, azimuth, delay.
     """
     path = Path(path)
-    lines = ["el_deg,az_deg,delay_ns,power_db"]
-    el = pdap.grid.elevation_deg
-    az = pdap.grid.azimuth_deg
-    for i in range(pdap.grid.n_elevation):
-        for j in range(pdap.grid.n_azimuth):
-            for k in range(pdap.n_delay):
-                p = pdap.power_db[i, j, k]
-                if p == SENTINEL_DB:
-                    continue
-                delay_ns = k * pdap.delay_step_s * 1e9
-                lines.append(f"{el[i]:g},{az[j]:g},{delay_ns:.6g},{p:.6g}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    el, az = pdap.grid.elevation_deg, pdap.grid.azimuth_deg
+    write_csv(path, "el_deg,az_deg,delay_ns,power_db",
+              ((el[i], az[j], k * pdap.delay_step_s * 1e9, p)
+               for (i, j, k), p in np.ndenumerate(pdap.power_db) if p != SENTINEL_DB))
     meta = {
         "scan_grid": grid_to_json(pdap.grid),
         "noise_threshold_db": pdap.noise_threshold_db,

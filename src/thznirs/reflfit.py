@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write
+from .fileio import write_csv
 
 if TYPE_CHECKING:
     from .pathloss import CiModel
@@ -399,11 +399,6 @@ def generate_samples(
 
 def write_fit_table_csv(entries: Iterable[tuple[str, str, FitResult]], path) -> None:
     """Table-style CSV: one row per scenario/band."""
-    lines = ["scenario,band,phi_bar_deg,a,b,c,rmse_db"]
-    for scenario, band, fit in entries:
-        m = fit.model
-        lines.append(
-            f"{scenario},{band},{m.phi_bar_deg:.6g},{m.a:.6g},{m.b:.6g},"
-            f"{m.c:.6g},{fit.rmse_db:.6g}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, "scenario,band,phi_bar_deg,a,b,c,rmse_db",
+              ((scenario, band, fit.model.phi_bar_deg, fit.model.a, fit.model.b, fit.model.c,
+                fit.rmse_db) for scenario, band, fit in entries))

@@ -528,8 +528,8 @@ def nirs_angle_set(
 ) -> frozenset[tuple[int, int]]:
     """Scan-grid directions whose ray from the Rx hits an active sub-panel.
 
-    Returns (elevation_index, azimuth_index) pairs.  A scene without panels
-    yields the empty set and a NoNirsPanelWarning rather than an error.
+    Returns (elevation_index, azimuth_index) pairs.  A scene with no active
+    panel cell yields the empty set and a NoNirsPanelWarning rather than an error.
     Occlusion by walls is not considered; this is the pure view geometry.
     All directions meet all cells in one batched ray test; a ray counts from
     1e-9 m past the Rx.
@@ -538,7 +538,7 @@ def nirs_angle_set(
     rx = scene.rx_position(rx_index)
     cells = scene.surface_stack.take(slice(len(scene.walls), None))
     if not cells.origin.shape[0]:
-        warnings.warn("scene has no NIRS panel; angle set is empty", NoNirsPanelWarning)
+        warnings.warn("scene has no active NIRS panel cell; angle set is empty", NoNirsPanelWarning)
         return frozenset()
     r, _, hit = cells.cross(rx, grid.direction_vectors()[..., None, :])
     el, az = np.nonzero((hit & (r > 1e-9)).any(axis=-1))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write, open_csv, parse_rows
+from .fileio import atomic_write, open_csv, parse_rows, write_csv
 from .scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -298,10 +298,8 @@ BUNDLE_FORMAT = "npy"
 
 def write_sweep_csv(sweep: FrequencySweep, path) -> None:
     """One direction as CSV; full float precision so round-trips are exact."""
-    lines = [SWEEP_CSV_HEADER]
-    for f, s in zip(sweep.frequencies, sweep.samples):
-        lines.append(f"{float(f)!r},{float(s.real)!r},{float(s.imag)!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, SWEEP_CSV_HEADER, ((repr(float(f)), repr(float(s.real)), repr(float(s.imag)))
+                                       for f, s in zip(sweep.frequencies, sweep.samples)))
 
 
 def _sweep_row(_: int, row: list[str]) -> tuple[float, complex]:

@@ -187,7 +187,7 @@ def nirs_angle_set(
     rx = scene.rx_position(rx_index)
     rects = [s.rectangle for s in scene.surfaces()[len(scene.walls):]]
     if not rects:
-        warnings.warn("scene has no NIRS panel; angle set is empty", NoNirsPanelWarning)
+        warnings.warn("scene has no active NIRS panel cell; angle set is empty", NoNirsPanelWarning)
         return frozenset()
     hits = set()
     for i in range(grid.n_elevation):

@@ -356,6 +356,26 @@ def test_pipeline_rejects_a_second_panel(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_rejects_a_panel_with_no_active_cell_in_one_line(tmp_path):
+    data = json.loads(Path(SCENES, "hallway_mini.json").read_text())
+    data["nirs_panels"][0]["active_cells"] = []
+    scene = tmp_path / "no_cells.json"
+    scene.write_text(json.dumps(data))
+    bundles = tmp_path / "b"
+    assert main(["synth", "--scene", str(scene), "--out", str(bundles),
+                 "--max-bounces", "0"]) == 0
+    out = tmp_path / "r.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "thznirs", "pipeline", "--scene", str(scene), "--bundle",
+         str(bundles), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {scene}: ") and proc.stderr.count("\n") == 1
+    assert "no active cell" in proc.stderr
+    assert not out.exists()
+
+
 def test_manifest_bad_frequency_plan_names_the_file(tmp_path, capsys):
     bundles = _mini_bundles(tmp_path)
     manifest = bundles / "rx000" / "manifest.json"
@@ -1007,7 +1027,8 @@ def _write_results(path, scene_file, pl_values):
 
 @pytest.mark.parametrize(
     "spec", ["5:10", "a:1:3", "1,,2", "0:1:inf", "nan,1", "1,inf", "0:inf:30", "nan:1:3",
-             "0:1e-15:1"]  # the last: 10**15 points, which numpy refuses at once to allocate
+             "0:1e-15:1",  # 10**15 points, which numpy refuses at once to allocate
+             "30:1:10"]  # stop below start: no points
 )
 def test_malformed_range_names_spec_exits_2(tmp_path, capsys, spec):
     scene_file = f"{SCENES}/corridor_mini.json"

@@ -161,11 +161,7 @@ def test_default_thresholds_span():
 def test_write_coverage_csv(tmp_path):
     out = tmp_path / "cov.csv"
     write_coverage_csv(out, [-10.0, 0.0], [1.0, 0.75], [0.5, 0.25])
-    lines = out.read_text().splitlines()
-    assert lines[0] == "threshold_db,ratio_with_nirs,ratio_without_nirs"
-    assert lines[1] == "-10,1,0.5"
-    assert lines[2] == "0,0.75,0.25"
+    assert out.read_bytes() == (
+        b"threshold_db,ratio_with_nirs,ratio_without_nirs\n-10,1,0.5\n0,0.75,0.25\n")
     write_coverage_csv(out, [0.0], [0.125])
-    lines = out.read_text().splitlines()
-    assert lines[0] == "threshold_db,ratio_with_nirs"
-    assert lines[1] == "0,0.125"
+    assert out.read_bytes() == b"threshold_db,ratio_with_nirs\n0,0.125\n"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thznirs import fileio
-from thznirs.fileio import atomic_write
+from thznirs.fileio import atomic_write, write_csv
 
 
 def test_atomic_write_text_bytes_and_writer(tmp_path):
@@ -81,6 +81,14 @@ def test_concurrent_writers_of_one_target_do_not_collide(tmp_path):
     assert errors == []
     assert target.read_text() in payloads
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_write_csv_gives_floats_6_significant_digits_and_the_rest_str(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(out, "x,y", [(0.1 + 0.2, np.float64(2 / 3)), (5.0, -0.0), (1234567.0, 1000000),
+                           ("a b", repr(0.1 + 0.2))])
+    assert out.read_bytes() == (
+        b"x,y\n0.3,0.666667\n5,-0\n1.23457e+06,1000000\na b,0.30000000000000004\n")
 
 
 def _file_writes(tree: ast.AST) -> list[int]:

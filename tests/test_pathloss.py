@@ -201,7 +201,8 @@ def test_write_pathloss_csv(tmp_path):
     ]
     out = tmp_path / "batch.csv"
     write_pathloss_csv(rows, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db"
-    assert lines[1] == "0,99.1235,98.7654,44,8.5,1.25,-0.123457"
-    assert lines[2] == "1,101.25,100.5,45.0382,9.00144,1.59444,7.5"
+    assert out.read_bytes() == (
+        b"rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db\n"
+        b"0,99.1235,98.7654,44,8.5,1.25,-0.123457\n"
+        b"1,101.25,100.5,45.0382,9.00144,1.59444,7.5\n"
+    )

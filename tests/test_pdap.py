@@ -164,22 +164,20 @@ def test_pdap_invariant_enforced():
 # export
 # ---------------------------------------------------------------------------
 def test_export_omits_sentinels(tmp_path):
-    powers = np.full((1, 2, 4), SENTINEL_DB)
+    powers = np.full((2, 2, 4), SENTINEL_DB)
     powers[0, 0, 1] = -100.0
     powers[0, 1, 3] = -120.0
+    powers[1, 0, 2] = -99.1234567
     pdap = Pdap(
         power_db=powers,
         noise_threshold_db=-160.0,
-        grid=ScanGrid(azimuth_deg=(0.0, 10.0), elevation_deg=(0.0,)),
+        grid=ScanGrid(azimuth_deg=(0.0, 10.0), elevation_deg=(0.0, 10.0)),
         delay_step_s=1e-9,
     )
     out = tmp_path / "pdap.csv"
     export_pdap_csv(pdap, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "el_deg,az_deg,delay_ns,power_db"
-    assert len(lines) == 3
-    assert lines[1] == "0,0,1,-100"
-    assert lines[2] == "0,10,3,-120"
+    assert out.read_bytes() == (
+        b"el_deg,az_deg,delay_ns,power_db\n0,0,1,-100\n0,10,3,-120\n10,0,2,-99.1235\n")
     meta = json.loads((tmp_path / "pdap.json").read_text())
     assert meta["noise_threshold_db"] == -160.0
     assert meta["sentinel_db"] == SENTINEL_DB

@@ -351,6 +351,6 @@ def test_write_fit_table_csv(tmp_path):
     )
     out = tmp_path / "table.csv"
     write_fit_table_csv([("corridor", "306-321GHz", fit)], out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "scenario,band,phi_bar_deg,a,b,c,rmse_db"
-    assert lines[1] == "corridor,306-321GHz,17.51,2.8,0.48,7.4,0.123456"
+    assert out.read_bytes() == (
+        b"scenario,band,phi_bar_deg,a,b,c,rmse_db\ncorridor,306-321GHz,17.51,2.8,0.48,7.4,0.123456\n"
+    )

@@ -14,6 +14,7 @@ from thznirs.presets import PLAN_306_321, PLAN_MINI_306, corridor_scene
 from thznirs.scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
+    FrequencyPlan,
     FrequencySweep,
     LossTable,
     Rectangle,
@@ -291,6 +292,16 @@ def test_sweep_csv_header_and_order(tmp_path, small_plan, rng):
     back = read_sweep_csv(path)
     assert back.plan == small_plan
     assert np.array_equal(back.samples, sweep.samples)
+
+
+def test_sweep_csv_bytes_keep_full_precision(tmp_path):
+    plan = FrequencyPlan(f_start_hz=306e9, f_stop_hz=306.005e9, f_step_hz=2.5e6)
+    path = tmp_path / "ref.csv"
+    write_sweep_csv(FrequencySweep(plan, np.array([0.1 + 0.2, -0.0 - 1e-300j, 2 / 3 + 1j])), path)
+    assert path.read_bytes() == (
+        b"freq_hz,s21_re,s21_im\n306000000000.0,0.30000000000000004,0.0\n"
+        b"306002500000.0,-0.0,-1e-300\n306005000000.0,0.6666666666666666,1.0\n"
+    )
 
 
 def test_bundle_missing_direction_file(tmp_path):

@@ -2,7 +2,7 @@
 
 Usage: python3 tools/chain_digest.py OUT
 
-Every step is a ``python -m thznirs`` process on the sources of the checkout
+Every CLI step is a ``python -m thznirs`` process on the sources of the checkout
 this script lives in, and every file lands under OUT (which must not exist
 yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
 
@@ -12,6 +12,8 @@ yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
   fit on both with-panel results;
   coverage --thresholds=-10:1:30 on the calibrated pair;
 
+then, in this process, the profile export (CSV plus JSON sidecar) of the
+default-threshold PDAP of corridor_mini's with-panel rx 0 bundle;
 then, on a hallway_mini copy whose panel keeps only the cells (1, 1) and
 (0, 0) (listed out of that order), synth --max-bounces 3 and pipeline
 --connect/--extra --ple 1.35 against the full hallway_mini scene; then one
@@ -41,9 +43,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from thznirs.pdap import export_pdap_csv, pdap_from_sweeps  # noqa: E402
 from thznirs.reflfit import ReflLossModel, generate_samples  # noqa: E402
 from thznirs.scene import FrequencySweep, load_scene  # noqa: E402
-from thznirs.synthchan import write_sweep_csv  # noqa: E402
+from thznirs.synthchan import read_bundle, write_sweep_csv  # noqa: E402
 
 PAIRS = ("corridor_mini", "hallway_mini")
 FIT_TABLE = (
@@ -113,6 +116,10 @@ def run_chain(out: Path) -> None:
         _thznirs("coverage", "--scene", scene, "--results", str(d / "with.csv"),
                  "--results-without", str(d / "without.csv"), "--thresholds=-10:1:30",
                  "--out", str(d / "coverage.csv"))
+    scene = load_scene(SCENES / f"{PAIRS[0]}.json")
+    sweeps = read_bundle(out / PAIRS[0] / "bundles_with" / "rx000").sweeps
+    pdap = pdap_from_sweeps(sweeps, scene.scan_grid, scene.frequency_plan.span_hz)
+    export_pdap_csv(pdap, out / PAIRS[0] / "pdap_rx000.csv")
     d = out / "hallway_mini_partial"
     d.mkdir()
     data = json.loads((SCENES / "hallway_mini.json").read_text())
