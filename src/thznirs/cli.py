@@ -232,6 +232,10 @@ def _cmd_fit(args) -> int:
             _table_name(flag, name)
             if args.generate:
                 raise ValidationError(f"{flag} {name!r} does not apply to --generate")
+    for flag, value in (("--angles", args.angles), ("--noise-sigma", args.noise_sigma),
+                        ("--seed", args.seed)):
+        if value is not None and args.samples:
+            raise ValidationError(f"{flag} {value!r} does not apply to --samples")
     if args.generate:
         parts = args.generate.split(",")
         if len(parts) != 6:
@@ -250,12 +254,14 @@ def _cmd_fit(args) -> int:
                 raise ValidationError(f"--generate: {name} '{text}' is not a finite number")
             values.append(value)
         model = ReflLossModel(*values)
-        angles = _parse_range(args.angles)
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        rng = np.random.default_rng(args.seed)
+        angles = _parse_range("5:10:75" if args.angles is None else args.angles)
+        seed = 0 if args.seed is None else args.seed
+        if seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {seed}")
+        rng = np.random.default_rng(seed)
+        noise_sigma = 0.0 if args.noise_sigma is None else args.noise_sigma
         samples = generate_samples(
-            model, angles, noise_sigma_db=args.noise_sigma, rng=rng, band_label=band
+            model, angles, noise_sigma_db=noise_sigma, rng=rng, band_label=band
         )
         groups = {(scenario, band): samples}
     else:
@@ -364,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the reflection-loss angle law")
     p.add_argument("--samples", default=None)
     p.add_argument("--generate", default=None, metavar="SCEN,BAND,PHI,A,B,C")
-    p.add_argument("--angles", default="5:10:75")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--angles", default=None)  # None: 5:10:75 with --generate
+    p.add_argument("--noise-sigma", type=float, default=None)  # None: 0 with --generate
     p.add_argument("--scenario", default=None)
     p.add_argument("--band", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)  # None: 0 with --generate
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("coverage", help="coverage-ratio curves from per-Rx path loss")

@@ -609,7 +609,7 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
 
 
 # ---------------------------------------------------------------------------
-# JSON: scene files, and the plan and grid objects bundle manifests share
+# JSON: scene files, and the type rules, plan and grid that bundle manifests share
 # ---------------------------------------------------------------------------
 @contextmanager
 def json_errors(source):
@@ -625,20 +625,24 @@ def json_errors(source):
         if not str(exc).startswith(prefix):
             exc.args = (prefix + str(exc),)
         raise
-    except Exception as exc:
-        if isinstance(exc, json.JSONDecodeError):
-            reason = f"invalid JSON ({exc})"
-        elif isinstance(exc, KeyError):
-            reason = f"missing key {exc}"
-        else:
-            reason = str(exc)
+    except Exception as exc:  # json_object has named any missing key before it is read
+        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else str(exc)
         raise ValidationError(prefix + reason) from exc
 
 
-def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+
+
+def json_value(value, kind: type, context: str):
+    """``value`` if its JSON type is exactly ``kind``: ``true`` and ``5.7`` are no integer."""
+    if type(value) is not kind:
+        raise TypeError(f"{context} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
     """``obj`` if it is a JSON object holding every required and no unknown key."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{context} must be a JSON object, got {type(obj).__name__}")
+    json_value(obj, dict, context)
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -648,11 +652,8 @@ def _json_object(obj, context: str, required: Sequence[str], optional: Sequence[
     return obj
 
 
-def _json_list(obj, context: str) -> list:
-    """``obj`` if it is a JSON array."""
-    if not isinstance(obj, list):
-        raise TypeError(f"{context} must be a JSON array, got {type(obj).__name__}")
-    return obj
+def _json_ints(obj, context: str) -> tuple[int, ...]:
+    return tuple(json_value(x, int, context) for x in json_value(obj, list, context))
 
 
 def _position3(value, height: float, what: str) -> np.ndarray:
@@ -665,7 +666,7 @@ def _position3(value, height: float, what: str) -> np.ndarray:
 
 
 def plan_from_json(obj) -> FrequencyPlan:
-    fp = _json_object(obj, "frequency_plan", ("f_start_hz", "f_stop_hz", "f_step_hz"))
+    fp = json_object(obj, "frequency_plan", ("f_start_hz", "f_stop_hz", "f_step_hz"))
     return FrequencyPlan(
         f_start_hz=float(fp["f_start_hz"]),
         f_stop_hz=float(fp["f_stop_hz"]),
@@ -682,7 +683,7 @@ def plan_to_json(plan: FrequencyPlan) -> dict:
 
 
 def grid_from_json(obj) -> ScanGrid:
-    sg = _json_object(obj, "scan_grid", ("azimuth_deg", "elevation_deg"))
+    sg = json_object(obj, "scan_grid", ("azimuth_deg", "elevation_deg"))
     return ScanGrid(azimuth_deg=sg["azimuth_deg"], elevation_deg=sg["elevation_deg"])
 
 
@@ -696,7 +697,7 @@ def grid_to_json(grid: ScanGrid) -> dict:
 def _pattern_from_json(obj, default: AntennaPattern) -> AntennaPattern:
     if obj is None:
         return default
-    p = _json_object(obj, "pattern", ("gain_dbi", "hpbw_deg"))
+    p = json_object(obj, "pattern", ("gain_dbi", "hpbw_deg"))
     return AntennaPattern(
         boresight_gain_dbi=float(p["gain_dbi"]), hpbw_deg=float(p["hpbw_deg"])
     )
@@ -709,12 +710,12 @@ def _pattern_to_json(pattern: AntennaPattern) -> dict:
 def scene_from_dict(data: dict, source="scene file") -> Scene:
     """The scene a parsed scene file describes; any fault names ``source``."""
     with json_errors(source):
-        _json_object(
+        json_object(
             data, "top level", ("walls", "tx", "rx", "frequency_plan"), ("nirs_panels", "scan_grid")
         )
         walls = []
-        for w in _json_list(data["walls"], "walls"):
-            _json_object(w, "wall", ("corners", "material_loss_db"))
+        for w in json_value(data["walls"], list, "walls"):
+            json_object(w, "wall", ("corners", "material_loss_db"))
             walls.append(
                 Wall(
                     rectangle=Rectangle(corners=np.asarray(w["corners"], dtype=float)),
@@ -723,8 +724,8 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
             )
 
         panels = []
-        for p in _json_list(data.get("nirs_panels", []), "nirs_panels"):
-            _json_object(
+        for p in json_value(data.get("nirs_panels", []), list, "nirs_panels"):
+            json_object(
                 p, "nirs panel", ("corners", "material_loss_db"), ("subdivision", "active_cells")
             )
             cells = p.get("active_cells", "all")
@@ -732,23 +733,26 @@ def scene_from_dict(data: dict, source="scene file") -> Scene:
                 NirsPanel(
                     rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
                     material_loss=p["material_loss_db"],
-                    subdivision=tuple(int(x) for x in p.get("subdivision", (3, 3))),
-                    active_cells=None if cells == "all" else cells,
+                    subdivision=_json_ints(p.get("subdivision", [3, 3]), "subdivision"),
+                    active_cells=None if cells == "all" else [
+                        _json_ints(c, "active_cells entry")
+                        for c in json_value(cells, list, "active_cells")
+                    ],
                 )
             )
 
-        tx = _json_object(data["tx"], "tx", ("position", "boresight"), ("height_m", "pattern"))
+        tx = json_object(data["tx"], "tx", ("position", "boresight"), ("height_m", "pattern"))
         tx_height = float(tx.get("height_m", DEFAULT_TX_HEIGHT))
         tx_pos = _position3(tx["position"], tx_height, "tx position")
         boresight = np.asarray(tx["boresight"], dtype=float)
         if boresight.shape == (2,):
             boresight = np.array([boresight[0], boresight[1], 0.0])
 
-        rx = _json_object(data["rx"], "rx", ("positions",), ("height_m", "pattern"))
+        rx = json_object(data["rx"], "rx", ("positions",), ("height_m", "pattern"))
         rx_height = float(rx.get("height_m", DEFAULT_RX_HEIGHT))
         rx_pos = np.array([
             _position3(p, rx_height, "rx position")
-            for p in _json_list(rx["positions"], "positions in rx")
+            for p in json_value(rx["positions"], list, "positions in rx")
         ])
 
         return Scene(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,8 @@ from .scene import (
     grid_from_json,
     grid_to_json,
     json_errors,
+    json_object,
+    json_value,
     plan_from_json,
     plan_to_json,
 )
@@ -42,22 +44,22 @@ _SEG_EPS = 1e-9  # segment-parameter margin excluding the endpoints
 class PropagationPath:
     """One specular path from Tx to Rx."""
 
-    delay_s: float
     total_length_m: float
     departure_direction: np.ndarray  # unit, from Tx toward the first hit
     arrival_direction: np.ndarray  # unit, from Rx toward the last hit
-    bounce_count: int
     cumulative_reflection_loss_db: float
     surfaces_hit: tuple[str, ...]
     points: tuple = ()  # reflection points, Tx->Rx order
 
+    @property
+    def delay_s(self) -> float:
+        return self.total_length_m / SPEED_OF_LIGHT
+
+    @property
+    def bounce_count(self) -> int:
+        return len(self.surfaces_hit)
+
     def __post_init__(self):
-        if abs(self.delay_s - self.total_length_m / SPEED_OF_LIGHT) > 1e-12 * max(
-            self.delay_s, 1e-30
-        ):
-            raise ValidationError("path: delay must equal total_length / c")
-        if self.bounce_count != len(self.surfaces_hit):
-            raise ValidationError("path: bounce_count must match surfaces_hit")
         if self.cumulative_reflection_loss_db < 0:
             raise ValidationError("path: cumulative reflection loss must be >= 0 dB")
         for name in ("departure_direction", "arrival_direction"):
@@ -69,12 +71,15 @@ class PropagationPath:
 @dataclass(frozen=True)
 class BundleManifest:
     scenario_id: str
-    band_label: str
     plan: FrequencyPlan
     grid: ScanGrid
     rx_index: int
     nirs: bool
     max_bounces: int
+
+    @property
+    def band_label(self) -> str:
+        return self.plan.band_label
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,9 @@ def _build_path(tx, rx, hits: list[tuple[Surface, np.ndarray]]) -> PropagationPa
     departure = points[1] - tx
     arrival = points[-2] - rx
     return PropagationPath(
-        delay_s=length / SPEED_OF_LIGHT,
         total_length_m=length,
         departure_direction=departure / np.linalg.norm(departure),
         arrival_direction=arrival / np.linalg.norm(arrival),
-        bounce_count=len(hits),
         cumulative_reflection_loss_db=loss,
         surfaces_hit=tuple(s.surface_id for s, _ in hits),
         points=tuple(p for _, p in hits),
@@ -278,7 +281,6 @@ def synthesize_sweep(
 
     manifest = BundleManifest(
         scenario_id=scenario_id,
-        band_label=plan.band_label,
         plan=plan,
         grid=grid,
         rx_index=rx_index,
@@ -294,6 +296,10 @@ def synthesize_sweep(
 SWEEP_CSV_HEADER = "freq_hz,s21_re,s21_im"
 SWEEPS_FILE = "sweeps.npy"
 BUNDLE_FORMAT = "npy"
+# The manifest's keys besides its plan and grid, each with its exact JSON type.
+# A key that is a BundleManifest property, not a field (band_label), must equal it.
+MANIFEST_KEYS = {"scenario_id": str, "band_label": str, "rx_index": int, "nirs": bool,
+                 "max_bounces": int}
 
 
 def write_sweep_csv(sweep: FrequencySweep, path) -> None:
@@ -350,16 +356,9 @@ def write_bundle(bundle: SweepBundle, dirpath) -> None:
     manifest_path = d / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     m = bundle.manifest
-    manifest = {
-        "format": BUNDLE_FORMAT,
-        "scenario_id": m.scenario_id,
-        "band_label": m.band_label,
-        "frequency_plan": plan_to_json(m.plan),
-        "scan_grid": grid_to_json(m.grid),
-        "rx_index": m.rx_index,
-        "nirs": m.nirs,
-        "max_bounces": m.max_bounces,
-    }
+    manifest = {key: getattr(m, key) for key in MANIFEST_KEYS}
+    manifest.update(format=BUNDLE_FORMAT, frequency_plan=plan_to_json(m.plan),
+                    scan_grid=grid_to_json(m.grid))
     atomic_write(d / SWEEPS_FILE, lambda fh: np.save(fh, bundle.sweeps, allow_pickle=False))
     atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -394,18 +393,17 @@ def read_bundle(dirpath) -> SweepBundle:
     if not manifest_path.exists():
         raise ValidationError(f"missing bundle manifest: {manifest_path}")
     with json_errors(manifest_path):
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        raw = json_object(json.loads(manifest_path.read_text(encoding="utf-8")), "manifest",
+                          (*MANIFEST_KEYS, "frequency_plan", "scan_grid"), ("format",))
+        for key, kind in MANIFEST_KEYS.items():
+            json_value(raw[key], kind, key)
         plan = plan_from_json(raw["frequency_plan"])
         grid = grid_from_json(raw["scan_grid"])
-        manifest = BundleManifest(
-            scenario_id=str(raw["scenario_id"]),
-            band_label=str(raw["band_label"]),
-            plan=plan,
-            grid=grid,
-            rx_index=int(raw["rx_index"]),
-            nirs=bool(raw["nirs"]),
-            max_bounces=int(raw["max_bounces"]),
-        )
+        manifest = BundleManifest(plan=plan, grid=grid, **{
+            f.name: raw[f.name] for f in fields(BundleManifest) if f.name in MANIFEST_KEYS})
+        for key in MANIFEST_KEYS:  # band_label is derived from the plan, not stored
+            if raw[key] != getattr(manifest, key):
+                raise ValidationError(f"{key} {raw[key]!r} is not the plan's {getattr(manifest, key)!r}")
     shape = (grid.n_elevation, grid.n_azimuth, plan.point_count)
     if "format" not in raw:
         sweeps = np.empty(shape, dtype=complex)

@@ -108,6 +108,16 @@ def _truncate_manifest(d: Path) -> Path:
     return path
 
 
+# Manifest values outside the manifest's key table; both bundle layouts read
+# their manifest alike, so each must fail the same way in either.
+SPOILED_MANIFEST_KEYS = {
+    "manifest_fractional_rx_index": _edit_manifest(lambda m: m.update(rx_index=5.7)),
+    "manifest_bool_rx_index": _edit_manifest(lambda m: m.update(rx_index=True)),
+    "manifest_string_nirs": _edit_manifest(lambda m: m.update(nirs="false")),
+    "manifest_unknown_key": _edit_manifest(lambda m: m.update(rx_gain_dbi=25.0)),
+    "manifest_band_label_off_plan": _edit_manifest(lambda m: m.update(band_label="356-371GHz")),
+}
+
 # Ways to spoil a written bundle directory; each returns the file the
 # resulting error must name.
 SPOILED_BUNDLES = {
@@ -126,6 +136,7 @@ SPOILED_BUNDLES = {
         lambda m: m["scan_grid"].update(azimuth=m["scan_grid"].pop("azimuth_deg"))
     ),
     "manifest_no_rx_index": _edit_manifest(lambda m: m.pop("rx_index")),
+    **SPOILED_MANIFEST_KEYS,
 }
 
 

@@ -149,6 +149,14 @@ MALFORMED_SCENES = {
     ),
     "pattern_without_hpbw": (lambda d: d["rx"]["pattern"].pop("hpbw_deg"), "'hpbw_deg' in pattern"),
     "unknown_plan_key": (lambda d: d["frequency_plan"].update(f_mid_hz=1), "['f_mid_hz']"),
+    "fractional_subdivision": (
+        lambda d: d["nirs_panels"][0].update(subdivision=[3.7, True]),
+        "subdivision must be a JSON integer, got float",
+    ),
+    "fractional_active_cell": (
+        lambda d: d["nirs_panels"][0].update(active_cells=[[1.9, 0.2]]),
+        "active_cells entry must be a JSON integer, got float",
+    ),
 }
 
 
@@ -879,6 +887,20 @@ def test_fit_generate_rejects_a_name_flag(tmp_path, capsys, flag):
     argv = ["fit", "--generate", "c,b,17.51,2.80,0.48,7.4", flag, "x", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag} 'x' does not apply to --generate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [("--angles", "1:1:9", "'1:1:9'"), ("--noise-sigma", "0.5", "0.5"), ("--seed", "3", "3")],
+)
+def test_fit_samples_rejects_a_generator_flag(tmp_path, capsys, flag, value, shown):
+    samples = tmp_path / "s.csv"
+    samples.write_text("rx_id,reflection_angle_deg,l_ref_db\n"
+                       + "".join(f"{k},{5 + 10 * k},{10 + k}\n" for k in range(8)))
+    out = tmp_path / "t.csv"
+    assert main(["fit", "--samples", str(samples), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {shown} does not apply to --samples\n"
     assert not out.exists()
 
 

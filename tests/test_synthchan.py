@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import synthchan_oracle as oracle
-from conftest import SPOILED_BUNDLES, random_box_scenes, write_csv_bundle
+from conftest import SPOILED_BUNDLES, SPOILED_MANIFEST_KEYS, random_box_scenes, write_csv_bundle
 
 from thznirs import synthchan
 from thznirs.errors import ValidationError
@@ -25,7 +25,6 @@ from thznirs.scene import (
     load_scene,
 )
 from thznirs.synthchan import (
-    PropagationPath,
     direction_filename,
     enumerate_paths,
     read_bundle,
@@ -101,23 +100,6 @@ def test_max_bounces_domain():
         enumerate_paths(scene, 0, max_bounces=4)
     with pytest.raises(ValidationError, match="max_bounces"):
         enumerate_paths(scene, 0, max_bounces=-1)
-
-
-def test_path_invariants_enforced():
-    with pytest.raises(ValidationError, match="delay"):
-        PropagationPath(
-            delay_s=1e-9, total_length_m=10.0,
-            departure_direction=np.array([1.0, 0, 0]),
-            arrival_direction=np.array([-1.0, 0, 0]),
-            bounce_count=0, cumulative_reflection_loss_db=0.0, surfaces_hit=(),
-        )
-    with pytest.raises(ValidationError, match="bounce_count"):
-        PropagationPath(
-            delay_s=10.0 / SPEED_OF_LIGHT, total_length_m=10.0,
-            departure_direction=np.array([1.0, 0, 0]),
-            arrival_direction=np.array([-1.0, 0, 0]),
-            bounce_count=2, cumulative_reflection_loss_db=0.0, surfaces_hit=("wall0",),
-        )
 
 
 def test_reciprocity_of_path_lengths():
@@ -318,6 +300,16 @@ def test_bundle_rejects_spoiled_npy_bundle(tmp_path, case):
     d = tmp_path / "bundle"
     write_bundle(_two_direction_bundle(), d)
     named = SPOILED_BUNDLES[case](d)
+    with pytest.raises(ValidationError, match=re.escape(str(named))):
+        read_bundle(d)
+
+
+@pytest.mark.parametrize("case", sorted(SPOILED_MANIFEST_KEYS))
+def test_bundle_rejects_spoiled_csv_bundle_manifest(tmp_path, case):
+    write_bundle(_two_direction_bundle(), tmp_path / "npy")
+    d = tmp_path / "bundle"
+    write_csv_bundle(tmp_path / "npy", d)
+    named = SPOILED_MANIFEST_KEYS[case](d)
     with pytest.raises(ValidationError, match=re.escape(str(named))):
         read_bundle(d)
 
