@@ -32,7 +32,8 @@ from .reflfit import (  # noqa: E402
 )
 
 # Each subcommand imports the modules only it runs, so that a process pays
-# for loading no module it does not use.
+# for loading no module it does not use. reflfit is the exception: it loads
+# for every subcommand, because tests patch cli.fit_refl_models.
 
 
 def _worker_count() -> int:

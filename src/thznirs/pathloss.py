@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NoSignalError, ValidationError
+from .errors import NoSignalError, ThzNirsError, ValidationError
 from .fileio import write_csv
 from .pdap import DEFAULT_NOISE_THRESHOLD_DB, SENTINEL_DB, Pdap, pdap_from_sweeps
 from .reflfit import additional_reflection_loss
@@ -49,7 +49,13 @@ def _linear_power_sum(pdap: Pdap, el_idx: np.ndarray, az_idx: np.ndarray) -> flo
     mask = block != SENTINEL_DB
     if not np.any(mask):
         raise NoSignalError("path loss: every selected entry is noise")
-    return float(np.sum(10.0 ** (block[mask] / 10.0)))
+    power_db = block[mask]
+    with np.errstate(over="ignore"):
+        total = float(np.sum(10.0 ** (power_db / 10.0)))
+    if not math.isfinite(total):
+        raise ValidationError(f"path loss: the linear power sum of entries up to "
+                              f"{power_db.max():.6g} dB overflows float64")
+    return total
 
 
 def directional_path_loss(pdap: Pdap, angle_set: Iterable[tuple[int, int]]) -> float:
@@ -101,10 +107,14 @@ def rx_path_loss(scene: Scene, rx_index: int, sweeps: np.ndarray, divisor, ci: C
     if not angles:
         raise ValidationError(f"angle set for rx {rx_index} is empty; "
                               "no scan direction intersects the panel")
-    pl_dir = directional_path_loss(pdap, angles)
-    pl_omni = omni_path_loss(pdap)
-    phi, _spec, d1, d2 = rx_link_geometry(scene, rx_index)
-    l_ref = additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)
+    try:
+        pl_dir = directional_path_loss(pdap, angles)
+        pl_omni = omni_path_loss(pdap)
+        phi, _spec, d1, d2 = rx_link_geometry(scene, rx_index)
+        l_ref = additional_reflection_loss(pl_dir, ci, plan.center_hz, d1, d2)
+    except ThzNirsError as exc:
+        exc.args = (f"rx {rx_index}: {exc}",)
+        raise
     return RxPathLossRow(rx_index, pl_dir, pl_omni, phi, d1, d2, l_ref)
 
 

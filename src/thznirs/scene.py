@@ -609,7 +609,7 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
 
 
 # ---------------------------------------------------------------------------
-# JSON: scene files, and the type rules, plan and grid that bundle manifests share
+# JSON: one walker and one table per file format (scene file, manifest)
 # ---------------------------------------------------------------------------
 @contextmanager
 def json_errors(source):
@@ -625,82 +625,81 @@ def json_errors(source):
         if not str(exc).startswith(prefix):
             exc.args = (prefix + str(exc),)
         raise
-    except Exception as exc:  # json_object has named any missing key before it is read
+    except Exception as exc:  # json_read has named any missing key before it is read
         reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else str(exc)
         raise ValidationError(prefix + reason) from exc
 
 
+NUMBER = "number"  # a finite JSON int or float: RFC 8259 has no NaN, and true is no number
+ANY = "any"  # any value; the dataclass that takes it checks it
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
 
 
-def json_value(value, kind: type, context: str):
-    """``value`` if its JSON type is exactly ``kind``: ``true`` and ``5.7`` are no integer."""
-    if type(value) is not kind:
-        raise TypeError(f"{context} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+def json_read(value, kind, path: str = ""):
+    """``value`` if it has ``kind`` all the way down; a fault names the key ``path``.
+
+    A kind is an exact JSON type (``true`` and ``5.7`` are no ``int``), ``NUMBER``,
+    ``ANY``, ``[kind]`` for an array of that kind, or a ``{key: kind}`` table: a key
+    ending in ``?`` is optional and a key the table lacks is rejected.  Missing keys
+    are reported before any value's kind.
+    """
+    if isinstance(kind, dict):
+        json_read(value, dict, path)
+        keys = {k.rstrip("?"): k for k in kind}
+        where = path or "top level"
+        unknown = set(value) - set(keys)
+        if unknown:
+            raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+        for key, spelt in keys.items():
+            if key not in value and key == spelt:
+                raise ValidationError(f"missing required key '{key}' in {where}")
+        for key, item in value.items():
+            json_read(item, kind[keys[key]], f"{path}.{key}" if path else key)
+    elif isinstance(kind, list):
+        json_read(value, list, path)
+        for i, item in enumerate(value):
+            json_read(item, kind[0], f"{path}[{i}]")
+    elif kind is NUMBER:
+        if type(value) not in (int, float):
+            raise ValidationError(f"{path} must be a JSON number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{path} must be a finite JSON number, got {value}")
+    elif kind is not ANY and type(value) is not kind:
+        raise ValidationError(
+            f"{path} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
     return value
 
 
-def json_object(obj, context: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
-    """``obj`` if it is a JSON object holding every required and no unknown key."""
-    json_value(obj, dict, context)
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)} in {context}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"missing required key '{key}' in {context}")
-    return obj
+PLAN_JSON = {"f_start_hz": NUMBER, "f_stop_hz": NUMBER, "f_step_hz": NUMBER}
+GRID_JSON = {"azimuth_deg": [NUMBER], "elevation_deg": [NUMBER]}
+_PATTERN_JSON = {"gain_dbi": NUMBER, "hpbw_deg": NUMBER}
+# material_loss_db is a number or [angle, loss] pairs (_as_loss), active_cells "all" or [[int]]
+SCENE_JSON = {
+    "walls": [{"corners": [[NUMBER]], "material_loss_db": ANY}],
+    "nirs_panels?": [{"corners": [[NUMBER]], "material_loss_db": ANY, "subdivision?": [int],
+                      "active_cells?": ANY}],
+    "tx": {"position": [NUMBER], "boresight": [NUMBER], "height_m?": NUMBER,
+           "pattern?": _PATTERN_JSON},
+    "rx": {"positions": [[NUMBER]], "height_m?": NUMBER, "pattern?": _PATTERN_JSON},
+    "frequency_plan": PLAN_JSON,
+    "scan_grid?": GRID_JSON,
+}
 
 
-def _json_ints(obj, context: str) -> tuple[int, ...]:
-    return tuple(json_value(x, int, context) for x in json_value(obj, list, context))
-
-
-def _position3(value, height: float, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape == (2,):
-        arr = np.array([arr[0], arr[1], height])
-    if arr.shape != (3,):
-        raise ValidationError(f"scene file: {what} must be [x,y] or [x,y,z]")
-    return arr
-
-
-def plan_from_json(obj) -> FrequencyPlan:
-    fp = json_object(obj, "frequency_plan", ("f_start_hz", "f_stop_hz", "f_step_hz"))
-    return FrequencyPlan(
-        f_start_hz=float(fp["f_start_hz"]),
-        f_stop_hz=float(fp["f_stop_hz"]),
-        f_step_hz=float(fp["f_step_hz"]),
-    )
+def _position3(value: list, height: float, path: str) -> list:
+    if len(value) == 2:
+        return [*value, height]
+    if len(value) != 3:
+        raise ValidationError(f"{path} must be [x,y] or [x,y,z]")
+    return value
 
 
 def plan_to_json(plan: FrequencyPlan) -> dict:
-    return {
-        "f_start_hz": plan.f_start_hz,
-        "f_stop_hz": plan.f_stop_hz,
-        "f_step_hz": plan.f_step_hz,
-    }
-
-
-def grid_from_json(obj) -> ScanGrid:
-    sg = json_object(obj, "scan_grid", ("azimuth_deg", "elevation_deg"))
-    return ScanGrid(azimuth_deg=sg["azimuth_deg"], elevation_deg=sg["elevation_deg"])
+    return {key: getattr(plan, key) for key in PLAN_JSON}
 
 
 def grid_to_json(grid: ScanGrid) -> dict:
-    return {
-        "azimuth_deg": list(grid.azimuth_deg),
-        "elevation_deg": list(grid.elevation_deg),
-    }
-
-
-def _pattern_from_json(obj, default: AntennaPattern) -> AntennaPattern:
-    if obj is None:
-        return default
-    p = json_object(obj, "pattern", ("gain_dbi", "hpbw_deg"))
-    return AntennaPattern(
-        boresight_gain_dbi=float(p["gain_dbi"]), hpbw_deg=float(p["hpbw_deg"])
-    )
+    return {key: list(getattr(grid, key)) for key in GRID_JSON}
 
 
 def _pattern_to_json(pattern: AntennaPattern) -> dict:
@@ -710,63 +709,36 @@ def _pattern_to_json(pattern: AntennaPattern) -> dict:
 def scene_from_dict(data: dict, source="scene file") -> Scene:
     """The scene a parsed scene file describes; any fault names ``source``."""
     with json_errors(source):
-        json_object(
-            data, "top level", ("walls", "tx", "rx", "frequency_plan"), ("nirs_panels", "scan_grid")
-        )
-        walls = []
-        for w in json_value(data["walls"], list, "walls"):
-            json_object(w, "wall", ("corners", "material_loss_db"))
-            walls.append(
-                Wall(
-                    rectangle=Rectangle(corners=np.asarray(w["corners"], dtype=float)),
-                    material_loss=w["material_loss_db"],
-                )
-            )
-
+        json_read(data, SCENE_JSON)
+        walls = [Wall(Rectangle(corners=w["corners"]), w["material_loss_db"])
+                 for w in data["walls"]]
         panels = []
-        for p in json_value(data.get("nirs_panels", []), list, "nirs_panels"):
-            json_object(
-                p, "nirs panel", ("corners", "material_loss_db"), ("subdivision", "active_cells")
-            )
+        for k, p in enumerate(data.get("nirs_panels", [])):
             cells = p.get("active_cells", "all")
-            panels.append(
-                NirsPanel(
-                    rectangle=Rectangle(corners=np.asarray(p["corners"], dtype=float)),
-                    material_loss=p["material_loss_db"],
-                    subdivision=_json_ints(p.get("subdivision", [3, 3]), "subdivision"),
-                    active_cells=None if cells == "all" else [
-                        _json_ints(c, "active_cells entry")
-                        for c in json_value(cells, list, "active_cells")
-                    ],
-                )
-            )
-
-        tx = json_object(data["tx"], "tx", ("position", "boresight"), ("height_m", "pattern"))
-        tx_height = float(tx.get("height_m", DEFAULT_TX_HEIGHT))
-        tx_pos = _position3(tx["position"], tx_height, "tx position")
-        boresight = np.asarray(tx["boresight"], dtype=float)
-        if boresight.shape == (2,):
-            boresight = np.array([boresight[0], boresight[1], 0.0])
-
-        rx = json_object(data["rx"], "rx", ("positions",), ("height_m", "pattern"))
-        rx_height = float(rx.get("height_m", DEFAULT_RX_HEIGHT))
-        rx_pos = np.array([
-            _position3(p, rx_height, "rx position")
-            for p in json_value(rx["positions"], list, "positions in rx")
-        ])
-
+            panels.append(NirsPanel(
+                rectangle=Rectangle(corners=p["corners"]),
+                material_loss=p["material_loss_db"],
+                subdivision=tuple(p.get("subdivision", (3, 3))),
+                active_cells=None if cells == "all"
+                else json_read(cells, [[int]], f"nirs_panels[{k}].active_cells"),
+            ))
+        tx, rx = data["tx"], data["rx"]
+        boresight = tx["boresight"]
+        tx_height = tx.get("height_m", DEFAULT_TX_HEIGHT)
+        rx_height = rx.get("height_m", DEFAULT_RX_HEIGHT)
         return Scene(
             walls=tuple(walls),
             nirs_panels=tuple(panels),
-            tx_position=tx_pos,
-            tx_boresight=boresight,
-            rx_positions=rx_pos,
-            tx_pattern=_pattern_from_json(tx.get("pattern"), DEFAULT_TX_PATTERN),
-            rx_pattern=_pattern_from_json(rx.get("pattern"), DEFAULT_RX_PATTERN),
-            frequency_plan=plan_from_json(data["frequency_plan"]),
-            scan_grid=(
-                grid_from_json(data["scan_grid"]) if "scan_grid" in data else ScanGrid.default()
-            ),
+            tx_position=_position3(tx["position"], tx_height, "tx.position"),
+            tx_boresight=[*boresight, 0.0] if len(boresight) == 2 else boresight,
+            rx_positions=[_position3(p, rx_height, f"rx.positions[{i}]")
+                          for i, p in enumerate(rx["positions"])],
+            tx_pattern=(AntennaPattern(tx["pattern"]["gain_dbi"], tx["pattern"]["hpbw_deg"])
+                        if "pattern" in tx else DEFAULT_TX_PATTERN),
+            rx_pattern=(AntennaPattern(rx["pattern"]["gain_dbi"], rx["pattern"]["hpbw_deg"])
+                        if "pattern" in rx else DEFAULT_RX_PATTERN),
+            frequency_plan=FrequencyPlan(**data["frequency_plan"]),
+            scan_grid=ScanGrid(**data["scan_grid"]) if "scan_grid" in data else ScanGrid.default(),
         )
 
 

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .fileio import atomic_write, open_csv, parse_rows, write_csv
 from .scene import (
+    GRID_JSON,
+    PLAN_JSON,
     SPEED_OF_LIGHT,
     AntennaPattern,
     FrequencyPlan,
@@ -28,12 +30,9 @@ from .scene import (
     Scene,
     Surface,
     frequency_grid,
-    grid_from_json,
     grid_to_json,
     json_errors,
-    json_object,
-    json_value,
-    plan_from_json,
+    json_read,
     plan_to_json,
 )
 
@@ -300,6 +299,8 @@ BUNDLE_FORMAT = "npy"
 # A key that is a BundleManifest property, not a field (band_label), must equal it.
 MANIFEST_KEYS = {"scenario_id": str, "band_label": str, "rx_index": int, "nirs": bool,
                  "max_bounces": int}
+MANIFEST_JSON = {**MANIFEST_KEYS, "frequency_plan": PLAN_JSON, "scan_grid": GRID_JSON,
+                 "format?": str}
 
 
 def write_sweep_csv(sweep: FrequencySweep, path) -> None:
@@ -393,12 +394,9 @@ def read_bundle(dirpath) -> SweepBundle:
     if not manifest_path.exists():
         raise ValidationError(f"missing bundle manifest: {manifest_path}")
     with json_errors(manifest_path):
-        raw = json_object(json.loads(manifest_path.read_text(encoding="utf-8")), "manifest",
-                          (*MANIFEST_KEYS, "frequency_plan", "scan_grid"), ("format",))
-        for key, kind in MANIFEST_KEYS.items():
-            json_value(raw[key], kind, key)
-        plan = plan_from_json(raw["frequency_plan"])
-        grid = grid_from_json(raw["scan_grid"])
+        raw = json_read(json.loads(manifest_path.read_text(encoding="utf-8")), MANIFEST_JSON)
+        plan = FrequencyPlan(**raw["frequency_plan"])
+        grid = ScanGrid(**raw["scan_grid"])
         manifest = BundleManifest(plan=plan, grid=grid, **{
             f.name: raw[f.name] for f in fields(BundleManifest) if f.name in MANIFEST_KEYS})
         for key in MANIFEST_KEYS:  # band_label is derived from the plan, not stored

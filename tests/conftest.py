@@ -116,6 +116,12 @@ SPOILED_MANIFEST_KEYS = {
     "manifest_string_nirs": _edit_manifest(lambda m: m.update(nirs="false")),
     "manifest_unknown_key": _edit_manifest(lambda m: m.update(rx_gain_dbi=25.0)),
     "manifest_band_label_off_plan": _edit_manifest(lambda m: m.update(band_label="356-371GHz")),
+    "manifest_string_plan_step": _edit_manifest(
+        lambda m: m["frequency_plan"].update(f_step_hz=str(m["frequency_plan"]["f_step_hz"]))
+    ),
+    "manifest_string_elevation": _edit_manifest(
+        lambda m: m["scan_grid"].update(elevation_deg=list(map(str, m["scan_grid"]["elevation_deg"])))
+    ),
 }
 
 # Ways to spoil a written bundle directory; each returns the file the

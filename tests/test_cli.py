@@ -141,21 +141,53 @@ MALFORMED_SCENES = {
         lambda d: d.update(nirs_panels=7), "nirs_panels must be a JSON array, got int"
     ),
     "rx_positions_not_a_list": (
-        lambda d: d["rx"].update(positions=3), "positions in rx must be a JSON array, got int"
+        lambda d: d["rx"].update(positions=3), "rx.positions must be a JSON array, got int"
     ),
     "tx_not_an_object": (lambda d: d.update(tx=[]), "tx must be a JSON object"),
     "grid_without_elevation": (
         lambda d: d.update(scan_grid={"azimuth_deg": 7}), "'elevation_deg' in scan_grid"
     ),
-    "pattern_without_hpbw": (lambda d: d["rx"]["pattern"].pop("hpbw_deg"), "'hpbw_deg' in pattern"),
+    "pattern_without_hpbw": (
+        lambda d: d["rx"]["pattern"].pop("hpbw_deg"), "'hpbw_deg' in rx.pattern"
+    ),
     "unknown_plan_key": (lambda d: d["frequency_plan"].update(f_mid_hz=1), "['f_mid_hz']"),
     "fractional_subdivision": (
         lambda d: d["nirs_panels"][0].update(subdivision=[3.7, True]),
-        "subdivision must be a JSON integer, got float",
+        "nirs_panels[0].subdivision[0] must be a JSON integer, got float",
     ),
     "fractional_active_cell": (
         lambda d: d["nirs_panels"][0].update(active_cells=[[1.9, 0.2]]),
-        "active_cells entry must be a JSON integer, got float",
+        "nirs_panels[0].active_cells[0][0] must be a JSON integer, got float",
+    ),
+    "bool_rx_gain": (
+        lambda d: d["rx"]["pattern"].update(gain_dbi=True),
+        "rx.pattern.gain_dbi must be a JSON number, got bool",
+    ),
+    "bool_tx_hpbw": (
+        lambda d: d["tx"]["pattern"].update(hpbw_deg=True),
+        "tx.pattern.hpbw_deg must be a JSON number, got bool",
+    ),
+    "string_plan_step": (
+        lambda d: d["frequency_plan"].update(f_step_hz="2.5e6"),
+        "frequency_plan.f_step_hz must be a JSON number, got str",
+    ),
+    "string_azimuths": (
+        lambda d: d["scan_grid"].update(azimuth_deg=["0", "10"]),
+        "scan_grid.azimuth_deg[0] must be a JSON number, got str",
+    ),
+    "string_tx_position": (
+        lambda d: d["tx"].update(position=["1", "2", "3"]),
+        "tx.position[0] must be a JSON number, got str",
+    ),
+    "string_wall_corner": (
+        lambda d: d["walls"][0]["corners"][1].__setitem__(2, "2.5"),
+        "walls[0].corners[1][2] must be a JSON number, got str",
+    ),
+    "string_rx_height": (
+        lambda d: d["rx"].update(height_m="1.6"), "rx.height_m must be a JSON number, got str"
+    ),
+    "four_coordinate_rx_position": (
+        lambda d: d["rx"]["positions"][1].append(1.0), "rx.positions[1] must be [x,y] or [x,y,z]"
     ),
 }
 
@@ -176,7 +208,7 @@ def test_malformed_scene_file_names_file_and_key(tmp_path, capsys, case):
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE_SCENES = {
-    "nan_boresight": (lambda d: d["tx"].update(boresight=[NAN, 1.0, 0.0]), "tx boresight"),
+    "nan_boresight": (lambda d: d["tx"].update(boresight=[NAN, 1.0, 0.0]), "tx.boresight[0]"),
     "nan_wall_loss": (lambda d: d["walls"][0].update(material_loss_db=NAN), "material_loss"),
     "inf_panel_loss": (
         lambda d: d["nirs_panels"][0].update(material_loss_db=INF), "material_loss"
@@ -184,7 +216,9 @@ NON_FINITE_SCENES = {
     "nan_loss_table_angle": (
         lambda d: d["walls"][1].update(material_loss_db=[[NAN, 12.0]]), "angles"
     ),
-    "nan_rx_position": (lambda d: d["rx"]["positions"][2].__setitem__(0, NAN), "rx position"),
+    "nan_rx_position": (
+        lambda d: d["rx"]["positions"][2].__setitem__(0, NAN), "rx.positions[2][0]"
+    ),
     "inf_wall_corner": (lambda d: d["walls"][2]["corners"][1].__setitem__(2, INF), "corner"),
     "nan_scan_elevation": (lambda d: d["scan_grid"].update(elevation_deg=[NAN]), "elevation"),
 }
@@ -581,6 +615,36 @@ def test_pipeline_names_rx_whose_angle_set_is_empty(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: angle set for rx 0 is empty; no scan direction intersects the panel"
     ]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pipeline_names_rx_whose_path_loss_fails(tmp_path, capsys):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
+                 "--max-bounces", "0"]) == 0
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/hallway_mini.json", "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv"), "--threshold-db", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rx 0: path loss: every selected entry is noise"
+    ]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pipeline_power_sum_overflow_exits_2(tmp_path, capsys):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
+                 "--max-bounces", "1"]) == 0
+    sweeps = out / "rx000" / "sweeps.npy"
+    np.save(sweeps, np.load(sweeps) * 1e200)
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/hallway_mini.json", "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rx 0: path loss: ")
+    assert lines[0].endswith("dB overflows float64")
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -41,6 +41,12 @@ def test_presets_regenerate_shipped_scene_bytes(tmp_path, name):
     assert (tmp_path / name).read_bytes() == (SCENES / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_shipped_scene_round_trips_bytes(tmp_path, name):
+    save_scene(load_scene(SCENES / name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (SCENES / name).read_bytes()
+
+
 def test_bundle_manifest_round_trips_bytes(tmp_path):
     bundle = synthesize_sweep(load_scene(SCENES / "hallway_mini.json"), 3, scenario_id="rt")
     write_bundle(bundle, tmp_path / "a")
