@@ -4,12 +4,14 @@ Enumerates specular paths for the receiver nearest the corner, synthesizes
 the per-direction frequency sweeps, and prints where the energy arrives.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from thznirs.presets import PLAN_MINI_306, corridor_scene
+from thznirs.scene import load_scene
 from thznirs.synthchan import enumerate_paths, synthesize_sweep
 
-scene = corridor_scene(plan=PLAN_MINI_306)
+scene = load_scene(Path(__file__).parent.parent / "scenes" / "corridor_mini.json")
 print(f"corridor scene: {len(scene.walls)} walls, {scene.n_rx} receivers,")
 print(f"panel subdivided {scene.nirs_panels[0].subdivision[0]}x{scene.nirs_panels[0].subdivision[1]}")
 

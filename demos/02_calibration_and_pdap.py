@@ -11,14 +11,13 @@ import numpy as np
 
 from thznirs.calibrate import SystemResponse, apply_system, calibrate
 from thznirs.pdap import export_pdap_csv, pdap_from_sweeps
-from thznirs.presets import PLAN_MINI_306, corridor_scene
-from thznirs.scene import FrequencySweep
+from thznirs.scene import FrequencySweep, load_scene
 from thznirs.synthchan import synthesize_sweep
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-scene = corridor_scene(plan=PLAN_MINI_306)
+scene = load_scene(Path(__file__).parent.parent / "scenes" / "corridor_mini.json")
 plan = scene.frequency_plan
 bundle = synthesize_sweep(scene, rx_index=0)
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from thznirs.pathloss import CiModel, rx_path_loss
-from thznirs.presets import PLAN_MINI_306, corridor_scene
 from thznirs.reflfit import (
     ReflLossModel,
     ReflSample,
@@ -19,14 +18,16 @@ from thznirs.reflfit import (
     generate_samples,
     write_fit_table_csv,
 )
+from thznirs.scene import load_scene
 from thznirs.synthchan import synthesize_sweep
 
+scenes_dir = Path(__file__).parent.parent / "scenes"
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 ci = CiModel(ple=1.35)
-with_scene = corridor_scene(plan=PLAN_MINI_306)
-without_scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
+with_scene = load_scene(scenes_dir / "corridor_mini.json")
+without_scene = load_scene(scenes_dir / "corridor_mini_no_nirs.json")
 plan = with_scene.frequency_plan
 # calibration divisor: the 7 + 25 dBi boresight antenna gains embedded by the synthesizer
 gains = 10.0 ** ((7.0 + 25.0) / 20.0)

@@ -19,8 +19,7 @@ from thznirs.coverage import (
 )
 from thznirs.pathloss import omni_path_loss
 from thznirs.pdap import pdap_from_sweeps
-from thznirs.presets import PLAN_306_321, PLAN_356_371, corridor_scene
-from thznirs.scene import AntennaPattern
+from thznirs.scene import AntennaPattern, FrequencyPlan, load_scene
 from thznirs.synthchan import synthesize_sweep
 
 out_dir = Path(__file__).parent / "output"
@@ -41,9 +40,15 @@ def curve(scene):
     return [r for _, r in coverage_curve(cmap, budget, thresholds)]
 
 
-for plan, label in ((PLAN_306_321, "306-321GHz"), (PLAN_356_371, "356-371GHz")):
-    with_panel = curve(dataclasses.replace(corridor_scene(plan=plan), **unity))
-    without = curve(dataclasses.replace(corridor_scene(nirs=False, plan=plan), **unity))
+# The shipped scene is on the 306-321 GHz band; the upper band is the same
+# corridor with only its frequency plan replaced.
+corridor = load_scene(Path(__file__).parent.parent / "scenes" / "corridor.json")
+upper_band = FrequencyPlan(f_start_hz=356e9, f_stop_hz=371e9, f_step_hz=2.5e6)
+for plan in (corridor.frequency_plan, upper_band):
+    scene = dataclasses.replace(corridor, frequency_plan=plan, **unity)
+    label = plan.band_label
+    with_panel = curve(scene)
+    without = curve(dataclasses.replace(scene, nirs_panels=()))
     path = out_dir / f"coverage_corridor_{label}.csv"
     write_coverage_csv(path, thresholds, with_panel, without)
     at10 = int(np.searchsorted(thresholds, 10.0))

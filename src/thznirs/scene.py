@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -630,7 +631,7 @@ def json_errors(source):
         raise ValidationError(prefix + reason) from exc
 
 
-NUMBER = "number"  # a finite JSON int or float: RFC 8259 has no NaN, and true is no number
+NUMBER = "number"  # a JSON int or float that float64 holds: RFC 8259 has no NaN, true is no number
 ANY = "any"  # any value; the dataclass that takes it checks it
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
 
@@ -662,8 +663,9 @@ def json_read(value, kind, path: str = ""):
     elif kind is NUMBER:
         if type(value) not in (int, float):
             raise ValidationError(f"{path} must be a JSON number, got {type(value).__name__}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{path} must be a finite JSON number, got {value}")
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int no float holds
+            shown = value if type(value) is float else f"an integer of {len(str(abs(value)))} digits"
+            raise ValidationError(f"{path} must be a finite JSON number, got {shown}")
     elif kind is not ANY and type(value) is not kind:
         raise ValidationError(
             f"{path} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")

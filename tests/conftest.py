@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from thznirs.scene import (
+    AntennaPattern,
     FrequencyPlan,
     FrequencySweep,
     LossTable,
@@ -13,6 +15,7 @@ from thznirs.scene import (
     ScanGrid,
     Scene,
     Wall,
+    load_scene,
 )
 from thznirs.synthchan import direction_filename, read_bundle, write_sweep_csv
 
@@ -37,14 +40,49 @@ def single_direction_grid() -> ScanGrid:
     return ScanGrid(azimuth_deg=(0.0,), elevation_deg=(0.0,))
 
 
+# The shipped *_mini scenes' plan, and the paper's 306-321 GHz plan of the
+# full-band scenes; both step 2.5 MHz, so the 400 ns delay range is the same.
+SMALL_PLAN = FrequencyPlan(f_start_hz=306e9, f_stop_hz=306.25e9, f_step_hz=2.5e6)
+PAPER_PLAN = FrequencyPlan(f_start_hz=306e9, f_stop_hz=321e9, f_step_hz=2.5e6)
+
+
 @pytest.fixture
 def small_plan():
-    return FrequencyPlan(f_start_hz=306e9, f_stop_hz=306.25e9, f_step_hz=2.5e6)
+    return SMALL_PLAN
 
 
 @pytest.fixture
 def paper_plan():
-    return FrequencyPlan(f_start_hz=306e9, f_stop_hz=321e9, f_step_hz=2.5e6)
+    return PAPER_PLAN
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def shipped_scene(name: str) -> Scene:
+    """The scene file ``scenes/<name>``."""
+    return load_scene(SCENES / name)
+
+
+def replace_panel(scene: Scene, **changes) -> Scene:
+    """``scene`` with ``changes`` to the fields of its first NIRS panel."""
+    first = dataclasses.replace(scene.nirs_panels[0], **changes)
+    return dataclasses.replace(scene, nirs_panels=(first,) + scene.nirs_panels[1:])
+
+
+def los_scene(distance_m: float, plan: FrequencyPlan) -> Scene:
+    """Free-space link: Tx on the receiver's azimuth-0 bearing, no surfaces,
+    unity-gain antennas."""
+    return Scene(
+        walls=(),
+        nirs_panels=(),
+        tx_position=np.array([distance_m, 0.0, 2.0]),
+        tx_boresight=np.array([-1.0, 0.0, 0.0]),
+        rx_positions=np.array([[0.0, 0.0, 2.0]]),
+        tx_pattern=AntennaPattern(boresight_gain_dbi=0.0, hpbw_deg=30.0),
+        rx_pattern=AntennaPattern(boresight_gain_dbi=0.0, hpbw_deg=8.0),
+        frequency_plan=plan,
+    )
 
 
 def write_csv_bundle(src: Path, dst: Path) -> None:
@@ -91,13 +129,14 @@ def _remove_sweeps(d: Path) -> Path:
     return path
 
 
-def _edit_manifest(change):
-    def spoil(d: Path) -> Path:
+def _edit_manifest(change, key_path=""):
+    """A spoiler that edits the manifest; the error names it, then ``key_path`` if given."""
+    def spoil(d: Path) -> Path | str:
         path = d / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         change(manifest)
         path.write_text(json.dumps(manifest))
-        return path
+        return f"{path}: {key_path}" if key_path else path
 
     return spoil
 
@@ -122,10 +161,13 @@ SPOILED_MANIFEST_KEYS = {
     "manifest_string_elevation": _edit_manifest(
         lambda m: m["scan_grid"].update(elevation_deg=list(map(str, m["scan_grid"]["elevation_deg"])))
     ),
+    "manifest_plan_start_beyond_float64": _edit_manifest(
+        lambda m: m["frequency_plan"].update(f_start_hz=10**400), "frequency_plan.f_start_hz"
+    ),
 }
 
 # Ways to spoil a written bundle directory; each returns the file the
-# resulting error must name.
+# resulting error must name, or that file's name and a key path after it.
 SPOILED_BUNDLES = {
     "missing": _remove_sweeps,
     "truncated": _truncate_sweeps,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import smooth_sweep
+from conftest import SCENES, los_scene, replace_panel, shipped_scene, smooth_sweep
 from thznirs.calibrate import SystemResponse, apply_system, calibrate
 from thznirs.cli import main
 from thznirs.coverage import (
@@ -30,13 +30,6 @@ from thznirs.coverage import (
 )
 from thznirs.pathloss import CiModel, ci_path_loss, directional_path_loss, omni_path_loss
 from thznirs.pdap import SENTINEL_DB, Pdap, cir_array, eliminate_noise, pdap_from_sweeps
-from thznirs.presets import (
-    PLAN_306_321,
-    PLAN_356_371,
-    corridor_scene,
-    hallway_scene,
-    los_scene,
-)
 from thznirs.reflfit import ReflLossModel, fit_refl_model, generate_samples
 from thznirs.scene import (
     SPEED_OF_LIGHT,
@@ -317,10 +310,8 @@ def test_criterion_08_coverage_properties():
 
     # paired corridor scenes: 1 dB panel vs 12 dB walls, isotropic-gain
     # measurement antennas so default-budget SNR straddles the 10 dB line
-    with_scene = dataclasses.replace(corridor_scene(plan=PLAN_306_321), **ISO_PATTERNS)
-    without_scene = dataclasses.replace(
-        corridor_scene(nirs=False, plan=PLAN_306_321), **ISO_PATTERNS
-    )
+    with_scene = dataclasses.replace(shipped_scene("corridor.json"), **ISO_PATTERNS)
+    without_scene = dataclasses.replace(shipped_scene("corridor_no_nirs.json"), **ISO_PATTERNS)
     pl_with = _coverage_pls(with_scene)
     pl_without = _coverage_pls(without_scene)
     cmap_with = interpolate_path_loss(with_scene.rx_positions, pl_with, 0.05)
@@ -333,7 +324,7 @@ def test_criterion_08_coverage_properties():
     )
 
     # the higher band yields lower coverage at equal geometry
-    hi_scene = dataclasses.replace(corridor_scene(plan=PLAN_356_371), **ISO_PATTERNS)
+    hi_scene = dataclasses.replace(with_scene, frequency_plan=FrequencyPlan(356e9, 371e9, 2.5e6))
     pl_hi = _coverage_pls(hi_scene)
     cmap_hi = interpolate_path_loss(hi_scene.rx_positions, pl_hi, 0.05)
     lo_curve = [r for _, r in coverage_curve(cmap_with, budget, default_thresholds())]
@@ -353,21 +344,21 @@ def test_criterion_08_coverage_properties():
 # 9. small vs large panel
 # ---------------------------------------------------------------------------
 def test_criterion_09_small_vs_large_panel():
-    full_scene = hallway_scene(plan=PLAN_306_321)
+    full_scene = shipped_scene("hallway.json")
     window = nirs_angle_set(full_scene, 0)
 
     def pl_dir(scene):
         bundle = synthesize_sweep(scene, 0)
-        pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, PLAN_306_321.span_hz)
+        pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, scene.frequency_plan.span_hz)
         return directional_path_loss(pdap, window)
 
     pl_full = pl_dir(full_scene)
-    pl_none = pl_dir(hallway_scene(nirs=False, plan=PLAN_306_321))
+    pl_none = pl_dir(shipped_scene("hallway_no_nirs.json"))
     ok = True
     best_single = math.inf
     for r in range(3):
         for c in range(3):
-            pl_one = pl_dir(hallway_scene(plan=PLAN_306_321, panel_active=[(r, c)]))
+            pl_one = pl_dir(replace_panel(full_scene, active_cells=[(r, c)]))
             best_single = min(best_single, pl_one)
             ok &= pl_full <= pl_one + 1e-9
             ok &= pl_one <= pl_none + 1e-9
@@ -381,9 +372,6 @@ def test_criterion_09_small_vs_large_panel():
 # ---------------------------------------------------------------------------
 # 10. end-to-end determinism
 # ---------------------------------------------------------------------------
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
-
-
 def _run_chain(out: Path, fixtures: Path):
     steps = [
         ["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", f"{out}/bundles"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,13 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SPOILED_BUNDLES, write_csv_bundle
+from conftest import SCENES, SMALL_PLAN, SPOILED_BUNDLES, shipped_scene, write_csv_bundle
 
 from thznirs import cli
 from thznirs.cli import main
 from thznirs.pathloss import CiModel, directional_path_loss, omni_path_loss
 from thznirs.pdap import pdap_from_sweeps
-from thznirs.presets import PLAN_MINI_306, corridor_scene
 from thznirs.reflfit import ReflLossModel, additional_reflection_loss, generate_samples
 from thznirs.scene import (
     FrequencySweep,
@@ -29,7 +29,6 @@ from thznirs.scene import (
 )
 from thznirs.synthchan import synthesize_sweep, write_sweep_csv
 
-SCENES = str(Path(__file__).resolve().parent.parent / "scenes")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -37,16 +36,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def mini_scene_file(tmp_path):
     # a trimmed corridor: 3 Rx, 2x2 scan grid keeps file counts tiny
     grid = ScanGrid(azimuth_deg=(140.0, 150.0), elevation_deg=(-10.0, 0.0))
-    scene = corridor_scene(plan=PLAN_MINI_306, grid=grid)
-    import dataclasses
-
-    scene = dataclasses.replace(scene, rx_positions=scene.rx_positions[:3])
+    scene = shipped_scene("corridor_mini.json")
+    scene = dataclasses.replace(scene, scan_grid=grid, rx_positions=scene.rx_positions[:3])
     path = tmp_path / "mini.json"
     save_scene(scene, path)
     return path
 
 
-def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file):
+def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file, small_plan):
     out = tmp_path / "bundles"
     assert main(["synth", "--scene", str(mini_scene_file), "--out", str(out)]) == 0
     rx_dirs = sorted(p for p in out.iterdir())
@@ -54,7 +51,7 @@ def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file):
     for d in rx_dirs:
         assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
         sweeps = np.load(d / "sweeps.npy", allow_pickle=False)
-        assert sweeps.shape == (2, 2, PLAN_MINI_306.point_count)  # 2x2 grid
+        assert sweeps.shape == (2, 2, small_plan.point_count)  # 2x2 grid
     manifest = json.loads((rx_dirs[0] / "manifest.json").read_text())
     assert manifest["format"] == "npy"
     assert manifest["nirs"] is True
@@ -86,9 +83,8 @@ def test_synth_full_corridor_has_180_directions(tmp_path):
 def test_synth_three_bounces_leaks_no_numpy_warning(tmp_path):
     # the batched image tree divides by plane parameters of parallel and
     # degenerate crossings; none of that may surface as a RuntimeWarning
-    src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "thznirs", "synth",
          "--scene", f"{SCENES}/hallway_mini.json", "--out", str(tmp_path / "b"),
@@ -108,7 +104,7 @@ def test_synth_flags_panel_free_scene(tmp_path):
 
 
 def test_synth_rejects_nonplanar_wall(tmp_path, capsys):
-    data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
+    data = scene_to_dict(shipped_scene("corridor_mini.json"))
     corners = np.array(data["walls"][0]["corners"])
     normal = np.cross(corners[1] - corners[0], corners[3] - corners[0])
     normal /= np.linalg.norm(normal)
@@ -188,6 +184,10 @@ MALFORMED_SCENES = {
     ),
     "four_coordinate_rx_position": (
         lambda d: d["rx"]["positions"][1].append(1.0), "rx.positions[1] must be [x,y] or [x,y,z]"
+    ),
+    "rx_position_beyond_float64": (
+        lambda d: d["rx"]["positions"][0].__setitem__(0, -(10**400)),
+        "rx.positions[0][0] must be a finite JSON number, got an integer of 401 digits",
     ),
 }
 
@@ -272,7 +272,7 @@ def _sweep_csv_input(tmp_path, spoil):
     """A ``--connect`` CSV passed through ``spoil``, and the pipeline argv that reads it."""
     scene, bundles = f"{SCENES}/corridor_mini.json", _mini_bundles(tmp_path)
     connect = tmp_path / "connect.csv"
-    write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), connect)
+    write_sweep_csv(FrequencySweep(SMALL_PLAN, np.ones(SMALL_PLAN.point_count)), connect)
     return spoil(connect), ["pipeline", "--scene", scene, "--bundle", str(bundles),
                             "--connect", str(connect), "--out", str(tmp_path / "o")]
 
@@ -648,10 +648,10 @@ def test_pipeline_power_sum_overflow_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
+def test_pipeline_applies_calibration(tmp_path, mini_scene_file, small_plan):
     out = tmp_path / "bundles"
     main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
-    plan = PLAN_MINI_306
+    plan = small_plan
     gain = 10.0 ** ((7.0 + 25.0) / 20.0)
     connect = FrequencySweep(plan, np.ones(plan.point_count, dtype=complex))
     extra = FrequencySweep(plan, np.full(plan.point_count, gain, dtype=complex))
@@ -670,10 +670,10 @@ def test_pipeline_applies_calibration(tmp_path, mini_scene_file):
     assert pl_degained - pl_plain == pytest.approx(32.0, abs=0.01)
 
 
-def test_pipeline_extra_needs_connect(tmp_path, capsys):
+def test_pipeline_extra_needs_connect(tmp_path, capsys, small_plan):
     bundles = _mini_bundles(tmp_path)
     extra = tmp_path / "extra.csv"
-    write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(PLAN_MINI_306.point_count)), extra)
+    write_sweep_csv(FrequencySweep(small_plan, np.ones(small_plan.point_count)), extra)
     capsys.readouterr()
     out = tmp_path / "r.csv"
     rc = main(["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(bundles),
@@ -694,15 +694,13 @@ def test_pipeline_extra_needs_connect(tmp_path, capsys):
     ids=["connect", "connect_beside_extra", "extra", "both"],
 )
 def test_pipeline_names_the_calibration_file_off_the_scene_plan(
-    tmp_path, capsys, given, off_plan, named
+    tmp_path, capsys, small_plan, paper_plan, given, off_plan, named
 ):
-    from thznirs.presets import PLAN_306_321
-
     bundles = _mini_bundles(tmp_path)
     argv = ["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(bundles),
             "--out", str(tmp_path / "r.csv")]
     for fixture in given:
-        plan = PLAN_306_321 if fixture in off_plan else PLAN_MINI_306
+        plan = paper_plan if fixture in off_plan else small_plan
         write_sweep_csv(FrequencySweep(plan, np.ones(plan.point_count)), tmp_path / f"{fixture}.csv")
         argv += [f"--{fixture}", str(tmp_path / f"{fixture}.csv")]
     capsys.readouterr()
@@ -714,9 +712,9 @@ def test_pipeline_names_the_calibration_file_off_the_scene_plan(
 
 def _spoil_sweep_csv(tmp_path, name, column, value):
     """Calibration fixtures for rx 0 with ``value`` in ``column`` of data row 6 of ``name``."""
-    n = PLAN_MINI_306.point_count
+    n = SMALL_PLAN.point_count
     for fixture in ("connect", "extra"):
-        write_sweep_csv(FrequencySweep(PLAN_MINI_306, np.ones(n)), tmp_path / f"{fixture}.csv")
+        write_sweep_csv(FrequencySweep(SMALL_PLAN, np.ones(n)), tmp_path / f"{fixture}.csv")
     path = tmp_path / f"{name}.csv"
     lines = path.read_text().splitlines()
     fields = lines[6].split(",")

@@ -1,0 +1,30 @@
+"""The package has no orphan module: each one is imported by another."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thznirs"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The package modules ``path`` imports anywhere in its code, by file stem."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # "from . import x" has no module
+            base = ".".join(filter(None, ["thznirs" if node.level else "", node.module]))
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(t.split(".")[1] for t in targets if t.startswith("thznirs."))
+    return found
+
+
+def test_every_module_is_imported_by_another_module():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    imported = {
+        name for stem, path in modules.items() for name in _imported_modules(path) if name != stem
+    }
+    orphans = sorted(modules.keys() - imported - {"__init__", "__main__"})
+    assert orphans == []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import los_scene
 
 from thznirs.errors import NoSignalError, ValidationError
 from thznirs.pathloss import (
@@ -13,7 +14,6 @@ from thznirs.pathloss import (
     write_pathloss_csv,
 )
 from thznirs.pdap import SENTINEL_DB, Pdap, pdap_from_sweeps
-from thznirs.presets import PLAN_MINI_306, los_scene
 from thznirs.scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -152,8 +152,8 @@ def test_ci_domain_and_invariants():
 # ---------------------------------------------------------------------------
 # synthetic closed-form budgets
 # ---------------------------------------------------------------------------
-def test_omni_matches_friis_for_los_scene():
-    plan = PLAN_MINI_306
+def test_omni_matches_friis_for_los_scene(small_plan):
+    plan = small_plan
     scene = los_scene(10.0, plan=plan)
     bundle = synthesize_sweep(scene, 0, max_bounces=0)
     pdap = pdap_from_sweeps(bundle.sweeps, scene.scan_grid, plan.span_hz)
@@ -162,9 +162,9 @@ def test_omni_matches_friis_for_los_scene():
     assert pl == pytest.approx(friis, abs=0.5)
 
 
-def test_directional_matches_reflected_budget():
+def test_directional_matches_reflected_budget(small_plan):
     # one panel, no walls: the only path in the panel window is the bounce
-    plan = PLAN_MINI_306
+    plan = small_plan
     panel = NirsPanel(
         rectangle=Rectangle.from_center([0, 0, 2.0], [0, 1, 0], [0, 0, 1], 2.0, 2.0),
         material_loss=LossTable.constant(5.0),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import single_direction_grid, smooth_sweep
+from conftest import los_scene, single_direction_grid, smooth_sweep
 from thznirs.errors import ValidationError
 from thznirs.pdap import (
     SENTINEL_DB,
@@ -13,7 +13,6 @@ from thznirs.pdap import (
     export_pdap_csv,
     pdap_from_sweeps,
 )
-from thznirs.presets import los_scene
 from thznirs.scene import SPEED_OF_LIGHT, FrequencySweep, ScanGrid
 from thznirs.synthchan import synthesize_sweep
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import reflfit_oracle
+from conftest import shipped_scene
 
 import thznirs.reflfit as reflfit
 from thznirs.errors import ValidationError
@@ -49,11 +50,10 @@ def test_domain_error_propagates():
         additional_reflection_loss(110.0, CiModel(ple=1.35), 313.5e9, 0.3, 0.3)
 
 
-def test_recovers_panel_material_loss_against_free_space_reference():
+def test_recovers_panel_material_loss_against_free_space_reference(small_plan):
     # one 5 dB panel, free-space exponent reference: the virtual-LoS excess
     # is the panel loss up to pattern-gain and leakage residue
     from thznirs.pathloss import rx_path_loss
-    from thznirs.presets import PLAN_MINI_306
     from thznirs.scene import AntennaPattern, LossTable, NirsPanel, Rectangle, Scene
     from thznirs.synthchan import synthesize_sweep
 
@@ -70,7 +70,7 @@ def test_recovers_panel_material_loss_against_free_space_reference():
         rx_positions=np.array([[d * math.cos(ang), d * math.sin(ang), 2.0]]),
         tx_pattern=AntennaPattern(0.0, 30.0),
         rx_pattern=AntennaPattern(0.0, 8.0),
-        frequency_plan=PLAN_MINI_306,
+        frequency_plan=small_plan,
     )
     sweeps = synthesize_sweep(scene, 0, max_bounces=1).sweeps
     row = rx_path_loss(scene, 0, sweeps, None, CiModel(ple=2.0))
@@ -80,11 +80,10 @@ def test_recovers_panel_material_loss_against_free_space_reference():
 def test_nirs_benefit_mean_l_ref():
     # with the panel present, mean additional reflection loss drops
     from thznirs.pathloss import rx_path_loss
-    from thznirs.presets import PLAN_MINI_306, corridor_scene
     from thznirs.synthchan import synthesize_sweep
 
     ci = CiModel(ple=1.35)
-    with_scene = corridor_scene(plan=PLAN_MINI_306)
+    with_scene = shipped_scene("corridor_mini.json")
 
     def l_refs(scene):
         # the with-panel scene defines the angle set and geometry for both
@@ -94,7 +93,7 @@ def test_nirs_benefit_mean_l_ref():
         ])
 
     lref_with = l_refs(with_scene)
-    lref_without = l_refs(corridor_scene(nirs=False, plan=PLAN_MINI_306))
+    lref_without = l_refs(shipped_scene("corridor_mini_no_nirs.json"))
     assert np.mean(lref_with) < np.mean(lref_without)
     assert np.all(lref_with < lref_without)
 

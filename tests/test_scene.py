@@ -1,18 +1,16 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 import synthchan_oracle as oracle
-from conftest import random_box_scenes
+from conftest import SCENES, SMALL_PLAN, random_box_scenes, replace_panel, shipped_scene
 
 from thznirs.errors import (
     NoNirsPanelWarning,
     NoSpecularGeometryError,
     ValidationError,
 )
-from thznirs.presets import PLAN_MINI_306, corridor_scene, hallway_scene
 from thznirs.scene import (
     AntennaPattern,
     FrequencyPlan,
@@ -157,7 +155,7 @@ def test_loss_table():
 # scene JSON files
 # ---------------------------------------------------------------------------
 def test_scene_json_roundtrip(tmp_path):
-    scene = corridor_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini.json")
     path = tmp_path / "scene.json"
     save_scene(scene, path)
     back = load_scene(path)
@@ -172,7 +170,7 @@ def test_scene_json_roundtrip(tmp_path):
 
 
 def test_scene_json_rejects_unknown_keys(tmp_path):
-    data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
+    data = scene_to_dict(shipped_scene("corridor_mini.json"))
     data["surprise"] = 1
     with pytest.raises(ValidationError, match="surprise"):
         scene_from_dict(data)
@@ -188,7 +186,7 @@ def test_scene_json_missing_required():
 
 
 def test_scene_json_roundtrips_angle_dependent_loss(tmp_path):
-    scene = corridor_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini.json")
     table = LossTable(points=((0.0, 10.0), (45.0, 13.0), (90.0, 19.0)))
     walls = list(scene.walls)
     walls[0] = dataclasses.replace(walls[0], material_loss=table)
@@ -203,14 +201,14 @@ def test_scene_json_roundtrips_angle_dependent_loss(tmp_path):
 @pytest.mark.parametrize("value", [None, "12", True, [[0.0, None]], [[0.0]], [5.0], {"0": 1}])
 @pytest.mark.parametrize("owner", ["walls", "nirs_panels"])
 def test_scene_json_rejects_malformed_material_loss(owner, value):
-    data = scene_to_dict(corridor_scene(plan=PLAN_MINI_306))
+    data = scene_to_dict(shipped_scene("corridor_mini.json"))
     data[owner][0]["material_loss_db"] = value
     with pytest.raises(ValidationError, match="material_loss_db"):
         scene_from_dict(data)
 
 
 def test_scene_json_heights_fill_missing_z(tmp_path):
-    data = scene_to_dict(hallway_scene(plan=PLAN_MINI_306))
+    data = scene_to_dict(shipped_scene("hallway_mini.json"))
     data["rx"]["positions"] = [[1.5, 4.5], [1.25, 4.5], [1.75, 4.5]]
     data["rx"]["height_m"] = 1.6
     scene = scene_from_dict(data)
@@ -222,24 +220,21 @@ def test_scene_json_heights_fill_missing_z(tmp_path):
 # ---------------------------------------------------------------------------
 def test_angle_set_corridor_rx_point_1():
     # Receiver point 1 sees the panel across the 140..170 degree bins.
-    scene = corridor_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini.json")
     found = nirs_angle_set(scene, 0)
     azimuths = sorted({scene.scan_grid.azimuth_deg[j] for _, j in found})
     assert azimuths == [140.0, 150.0, 160.0, 170.0]
 
 
 def test_angle_set_without_panels_warns():
-    scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini_no_nirs.json")
     with pytest.warns(NoNirsPanelWarning):
         found = nirs_angle_set(scene, 0)
     assert found == frozenset()
 
 
-HALLWAY_MINI = Path(__file__).resolve().parent.parent / "scenes" / "hallway_mini.json"
-
-
 def _hallway_mini_with_cells(cells):
-    data = scene_to_dict(load_scene(HALLWAY_MINI))
+    data = scene_to_dict(shipped_scene("hallway_mini.json"))
     data["nirs_panels"][0]["active_cells"] = cells
     return scene_from_dict(data)
 
@@ -290,7 +285,7 @@ def test_angle_set_frontal_panel_matches_tangent_oracle():
         tx_position=np.array([5.0, 0.0, 2.0]),
         tx_boresight=np.array([-1.0, 0.0, 0.0]),
         rx_positions=np.array([[0.0, 0.0, 1.75]]),
-        frequency_plan=PLAN_MINI_306,
+        frequency_plan=SMALL_PLAN,
     )
     found = nirs_angle_set(scene, 0)
     azimuths = {scene.scan_grid.azimuth_deg[j] for _, j in found}
@@ -305,26 +300,16 @@ def test_angle_set_frontal_panel_matches_tangent_oracle():
 
 
 PANEL_SCENES = {
-    **{p.stem: load_scene(p)
-       for p in sorted(Path(__file__).resolve().parent.parent.glob("scenes/*.json"))
-       if "no_nirs" not in p.stem},
+    **{p.stem: load_scene(p) for p in sorted(SCENES.glob("*.json")) if "no_nirs" not in p.stem},
     **{name: s for name, s in random_box_scenes().items() if s.nirs_panels},
 }
 CELL_VARIANTS = {"all": None, "one": [(1, 1)], "corners": [(0, 0), (0, 2), (2, 0), (2, 2)]}
 
 
-def _with_panel_cells(scene, cells):
-    """``scene`` with panel 0 restricted to ``cells`` (None: all)."""
-    first = dataclasses.replace(
-        scene.nirs_panels[0], active_cells=None if cells is None else frozenset(cells)
-    )
-    return dataclasses.replace(scene, nirs_panels=(first,) + scene.nirs_panels[1:])
-
-
 @pytest.mark.parametrize("cells", sorted(CELL_VARIANTS))
 @pytest.mark.parametrize("name", sorted(PANEL_SCENES))
 def test_angle_set_equals_ray_loop(name, cells):
-    scene = _with_panel_cells(PANEL_SCENES[name], CELL_VARIANTS[cells])
+    scene = replace_panel(PANEL_SCENES[name], active_cells=CELL_VARIANTS[cells])
     for k in range(scene.n_rx):
         assert nirs_angle_set(scene, k) == oracle.nirs_angle_set(scene, k), k
 
@@ -389,15 +374,15 @@ def test_rectangle_stack_hit_equals_scalar_oracle_at_edges():
 
 
 def test_angle_set_monotone_in_panel_area(rng):
-    scene = hallway_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("hallway_mini.json")
     all_cells = [(r, c) for r in range(3) for c in range(3)]
     for _ in range(10):
         k = int(rng.integers(1, 9))
         subset_cells = [all_cells[i] for i in rng.choice(9, size=k, replace=False)]
         extra = [all_cells[i] for i in rng.choice(9, size=min(9, k + 2), replace=False)]
         superset_cells = sorted(set(subset_cells) | set(extra))
-        small = nirs_angle_set(_with_panel_cells(scene, subset_cells), 0)
-        big = nirs_angle_set(_with_panel_cells(scene, superset_cells), 0)
+        small = nirs_angle_set(replace_panel(scene, active_cells=subset_cells), 0)
+        big = nirs_angle_set(replace_panel(scene, active_cells=superset_cells), 0)
         assert small <= big
 
 
@@ -415,7 +400,7 @@ def _panel_scene(tx, rx, width=2.0, height=2.0):
         tx_position=np.asarray(tx, float),
         tx_boresight=np.array([-1.0, 0.0, 0.0]),
         rx_positions=np.asarray([rx], float),
-        frequency_plan=PLAN_MINI_306,
+        frequency_plan=SMALL_PLAN,
     )
 
 
@@ -451,7 +436,7 @@ def test_reflection_angle_off_panel_raises_then_falls_back():
 
 
 def test_link_geometry_without_panel_raises():
-    scene = corridor_scene(nirs=False, plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini_no_nirs.json")
     with pytest.raises(ValidationError, match="no NIRS panel"):
         rx_link_geometry(scene, 0)
 
@@ -492,7 +477,7 @@ def test_specular_point_equals_scalar_oracle(rng):
 
 
 def test_reflection_angle_rigid_motion_invariant():
-    base = corridor_scene(plan=PLAN_MINI_306)
+    base = shipped_scene("corridor_mini.json")
     ref = [_specular_angle(base, k) for k in range(base.n_rx)]
     # rotate about z and translate; tilting would change the azimuth plane
     ang = math.radians(37.0)
@@ -536,7 +521,7 @@ def test_reflection_angle_half_angle_property():
 def test_reflection_angle_matches_2d_image_oracle():
     # independent 2-D construction: mirror Tx across the panel line in the
     # azimuth plane, intersect with Rx, measure against the line normal
-    for scene in (corridor_scene(plan=PLAN_MINI_306), hallway_scene(plan=PLAN_MINI_306)):
+    for scene in (shipped_scene("corridor_mini.json"), shipped_scene("hallway_mini.json")):
         rect = scene.nirs_panels[0].rectangle
         p0 = rect.corners[0][:2]
         d = rect.u[:2] / np.linalg.norm(rect.u[:2])
@@ -554,7 +539,7 @@ def test_reflection_angle_matches_2d_image_oracle():
 
 
 def test_scene_rx_index_out_of_range():
-    scene = corridor_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini.json")
     with pytest.raises(ValidationError, match="out of range"):
         scene.rx_position(99)
 
@@ -562,7 +547,7 @@ def test_scene_rx_index_out_of_range():
 def test_preset_scenes_claiming_benefit_have_shinier_panels():
     # scenes built to show a reflector benefit must make the panel strictly
     # less lossy than every wall
-    for scene in (corridor_scene(plan=PLAN_MINI_306), hallway_scene(plan=PLAN_MINI_306)):
+    for scene in (shipped_scene("corridor_mini.json"), shipped_scene("hallway_mini.json")):
         min_wall = min(loss for w in scene.walls for _, loss in w.material_loss.points)
         for panel in scene.nirs_panels:
             assert min(loss for _, loss in panel.material_loss.points) < min_wall

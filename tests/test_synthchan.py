@@ -1,16 +1,23 @@
 import dataclasses
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 import synthchan_oracle as oracle
-from conftest import SPOILED_BUNDLES, SPOILED_MANIFEST_KEYS, random_box_scenes, write_csv_bundle
+from conftest import (
+    SCENES,
+    SMALL_PLAN,
+    SPOILED_BUNDLES,
+    SPOILED_MANIFEST_KEYS,
+    random_box_scenes,
+    replace_panel,
+    shipped_scene,
+    write_csv_bundle,
+)
 
 from thznirs import synthchan
 from thznirs.errors import ValidationError
-from thznirs.presets import PLAN_306_321, PLAN_MINI_306, corridor_scene
 from thznirs.scene import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -44,7 +51,7 @@ def _open_room(tx, rx, walls=()):
         rx_positions=np.asarray([rx], float),
         tx_pattern=AntennaPattern(0.0, 30.0),
         rx_pattern=AntennaPattern(0.0, 8.0),
-        frequency_plan=PLAN_MINI_306,
+        frequency_plan=SMALL_PLAN,
     )
 
 
@@ -103,7 +110,7 @@ def test_max_bounces_domain():
 
 
 def test_reciprocity_of_path_lengths():
-    scene = corridor_scene(plan=PLAN_MINI_306)
+    scene = shipped_scene("corridor_mini.json")
     forward = enumerate_paths(scene, 0, max_bounces=2)
     swapped = dataclasses.replace(
         scene,
@@ -119,7 +126,7 @@ def test_reciprocity_of_path_lengths():
     )
 
 
-SHIPPED_SCENES = sorted(Path(__file__).resolve().parent.parent.glob("scenes/*.json"))
+SHIPPED_SCENES = sorted(SCENES.glob("*.json"))
 RANDOM_SCENES = random_box_scenes()
 
 
@@ -203,11 +210,11 @@ def test_energy_monotone_in_surface_loss():
         b = synthesize_sweep(scene, 0)
         return np.sum(np.abs(b.sweeps) ** 2, axis=-1)
 
-    e_lossy = dir_energy(corridor_scene(plan=PLAN_306_321, panel_loss_db=3.0))
-    e_shiny = dir_energy(corridor_scene(plan=PLAN_306_321, panel_loss_db=1.0))
+    base = shipped_scene("corridor.json")
+    e_lossy = dir_energy(replace_panel(base, material_loss=LossTable.constant(3.0)))
+    e_shiny = dir_energy(replace_panel(base, material_loss=LossTable.constant(1.0)))
     assert np.all(e_shiny >= e_lossy * (1.0 - 1e-9))
 
-    base = corridor_scene(plan=PLAN_306_321)
     e_base = dir_energy(base)
     walls = list(base.walls)
     walls[3] = Wall(walls[3].rectangle, LossTable.constant(6.0))
@@ -236,18 +243,19 @@ def test_angle_dependent_wall_loss_applied():
 # bundle files
 # ---------------------------------------------------------------------------
 def _two_direction_bundle(scenario_id="synthetic"):
-    scene = corridor_scene(plan=PLAN_MINI_306, grid=ScanGrid(azimuth_deg=(140.0, 150.0), elevation_deg=(0.0,)))
+    grid = ScanGrid(azimuth_deg=(140.0, 150.0), elevation_deg=(0.0,))
+    scene = dataclasses.replace(shipped_scene("corridor_mini.json"), scan_grid=grid)
     return synthesize_sweep(scene, 0, scenario_id=scenario_id)
 
 
-def test_bundle_roundtrip_exact(tmp_path):
+def test_bundle_roundtrip_exact(tmp_path, small_plan):
     bundle = _two_direction_bundle("roundtrip")
     d = tmp_path / "bundle"
     write_bundle(bundle, d)
     assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
     stored = np.load(d / "sweeps.npy", allow_pickle=False)
     assert stored.dtype == np.complex128 and stored.flags.c_contiguous
-    assert stored.shape == (1, 2, PLAN_MINI_306.point_count)
+    assert stored.shape == (1, 2, small_plan.point_count)
     back = read_bundle(d)
     assert back.manifest == bundle.manifest
     assert np.array_equal(back.sweeps, bundle.sweeps)  # exact float round-trip
@@ -339,7 +347,11 @@ def test_sweep_csv_rejects_wrong_header(tmp_path):
 
 def test_manifest_nirs_flag(tmp_path):
     grid = ScanGrid(azimuth_deg=(140.0,), elevation_deg=(0.0,))
-    with_panel = synthesize_sweep(corridor_scene(plan=PLAN_MINI_306, grid=grid), 0)
-    without = synthesize_sweep(corridor_scene(nirs=False, plan=PLAN_MINI_306, grid=grid), 0)
+
+    def first_rx(name):
+        return synthesize_sweep(dataclasses.replace(shipped_scene(name), scan_grid=grid), 0)
+
+    with_panel = first_rx("corridor_mini.json")
+    without = first_rx("corridor_mini_no_nirs.json")
     assert with_panel.manifest.nirs is True
     assert without.manifest.nirs is False
