@@ -23,17 +23,9 @@ import numpy as np  # noqa: E402
 
 from .errors import ThzNirsError, ValidationError  # noqa: E402
 from .fileio import open_csv, parse_rows  # noqa: E402
-from .reflfit import (  # noqa: E402
-    ReflLossModel,
-    ReflSample,
-    fit_refl_models,
-    generate_samples,
-    write_fit_table_csv,
-)
 
 # Each subcommand imports the modules only it runs, so that a process pays
-# for loading no module it does not use. reflfit is the exception: it loads
-# for every subcommand, because tests patch cli.fit_refl_models.
+# for loading no module it does not use.
 
 
 def _worker_count() -> int:
@@ -172,6 +164,8 @@ def _table_name(where: str, name: str) -> str:
 
 
 def _read_samples_csv(path: str, scenario: str | None, band: str | None):
+    from .reflfit import ReflSample
+
     flags = (("scenario", scenario), ("band", band))
     needed = set()  # the columns a row leaves empty, for its flag to fill in
     def keyed_sample(k: int, row: dict):
@@ -194,10 +188,12 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     return groups
 
 
-def _fit_batch(groups: list[list[ReflSample]]) -> list:
-    """One worker's groups.  The pool pickles its function by name, so
-    ``fit_refl_models`` is looked up here, in this module's namespace."""
-    return fit_refl_models(groups)
+def _fit_batch(groups: list) -> list:
+    """One worker's groups.  The pool pickles its function by name, so it is
+    this module's function, which looks up ``reflfit.fit_refl_models`` as it runs."""
+    from . import reflfit
+
+    return reflfit.fit_refl_models(groups)
 
 
 @contextmanager
@@ -226,6 +222,8 @@ def _worker_map(workers: int):
 
 
 def _cmd_fit(args) -> int:
+    from .reflfit import ReflLossModel, generate_samples, write_fit_table_csv
+
     if bool(args.samples) == bool(args.generate):
         raise ValidationError("fit needs exactly one of --samples or --generate")
     for flag, name in (("--scenario", args.scenario), ("--band", args.band)):

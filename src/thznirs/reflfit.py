@@ -279,9 +279,9 @@ def _refined_search(windows: list[tuple]) -> list[tuple]:
     for _ in range(REFINE_STAGES):
         stage = []
         for w in refine:
-            rb = np.unique(np.clip(np.linspace(best[w][0] - step_b, best[w][0] + step_b, 21),
-                                   B_GRID_START, B_GRID_STOP))
-            rb = rb[[b not in fitted[w] for b in rb.tolist()]]
+            rb = np.clip(np.linspace(best[w][0] - step_b, best[w][0] + step_b, 21),
+                         B_GRID_START, B_GRID_STOP)  # ascending: a clipped end repeats
+            rb = rb[(np.diff(rb, prepend=-np.inf) > 0) & [b not in fitted[w] for b in rb.tolist()]]
             fitted[w].update(rb.tolist())
             if rb.size:
                 stage.append((w, rb))
@@ -300,18 +300,18 @@ def _window(samples: Iterable[ReflSample]) -> tuple:
         raise ValidationError(f"fit needs at least 4 with-NIRS samples, got {len(kept)}")
     angles = np.array([s.reflection_angle_deg for s in kept])
     losses = np.array([s.additional_loss_db for s in kept])
-    uniq = np.unique(angles)
-    if uniq.shape[0] == 1:
+    gaps = np.diff(angles)  # the angles ascend, so a zero gap is a repeated angle
+    if not gaps.any():
         raise ValidationError("all sample angles are identical")
-    if uniq.shape[0] < 3:
+    if np.count_nonzero(gaps) < 2:
         raise ValidationError("fit needs at least 3 distinct angles")
 
     # phi_bar search window: the sample-angle range, narrowed to one
     # angle-gap around the empirical minimum-loss angle.
-    gap = float(np.max(np.diff(uniq)))
+    gap = float(np.max(gaps))
     argmin_angle = float(angles[int(np.argmin(losses))])
-    lo = max(float(uniq[0]), argmin_angle - gap)
-    hi = min(float(uniq[-1]), argmin_angle + gap)
+    lo = max(float(angles[0]), argmin_angle - gap)
+    hi = min(float(angles[-1]), argmin_angle + gap)
     return angles, losses, lo, hi
 
 

@@ -627,8 +627,18 @@ def json_errors(source):
             exc.args = (prefix + str(exc),)
         raise
     except Exception as exc:  # json_read has named any missing key before it is read
-        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else str(exc)
-        raise ValidationError(prefix + reason) from exc
+        raise ValidationError(prefix + str(exc)) from exc
+
+
+def json_parse(text: str):
+    """The value JSON ``text`` holds; text that ``json`` cannot parse raises ValidationError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON ({exc})") from None
+    except ValueError:  # an integer longer than int() converts; its message advises code changes
+        raise ValidationError("invalid JSON (an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 NUMBER = "number"  # a JSON int or float that float64 holds: RFC 8259 has no NaN, true is no number
@@ -780,7 +790,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh, json_errors(path):
-        return scene_from_dict(json.loads(fh.read()), source=path)
+        return scene_from_dict(json_parse(fh.read()), source=path)
 
 
 def save_scene(scene: Scene, path) -> None:

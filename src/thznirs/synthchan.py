@@ -32,6 +32,7 @@ from .scene import (
     frequency_grid,
     grid_to_json,
     json_errors,
+    json_parse,
     json_read,
     plan_to_json,
 )
@@ -394,7 +395,7 @@ def read_bundle(dirpath) -> SweepBundle:
     if not manifest_path.exists():
         raise ValidationError(f"missing bundle manifest: {manifest_path}")
     with json_errors(manifest_path):
-        raw = json_read(json.loads(manifest_path.read_text(encoding="utf-8")), MANIFEST_JSON)
+        raw = json_read(json_parse(manifest_path.read_text(encoding="utf-8")), MANIFEST_JSON)
         plan = FrequencyPlan(**raw["frequency_plan"])
         grid = ScanGrid(**raw["scan_grid"])
         manifest = BundleManifest(plan=plan, grid=grid, **{

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,16 @@ def _truncate_manifest(d: Path) -> Path:
     return path
 
 
+def _long_manifest_integer(d: Path) -> str:
+    """Give the manifest's f_start_hz more digits than int() converts."""
+    path = d / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    start = f'"f_start_hz": {json.loads(text)["frequency_plan"]["f_start_hz"]!r}'
+    assert start in text
+    path.write_text(text.replace(start, '"f_start_hz": ' + "9" * 5001))
+    return f"{path}: invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
+
+
 # Manifest values outside the manifest's key table; both bundle layouts read
 # their manifest alike, so each must fail the same way in either.
 SPOILED_MANIFEST_KEYS = {
@@ -167,7 +178,7 @@ SPOILED_MANIFEST_KEYS = {
 }
 
 # Ways to spoil a written bundle directory; each returns the file the
-# resulting error must name, or that file's name and a key path after it.
+# resulting error must name, or that file's name and the text after it.
 SPOILED_BUNDLES = {
     "missing": _remove_sweeps,
     "truncated": _truncate_sweeps,
@@ -176,6 +187,7 @@ SPOILED_BUNDLES = {
     "wrong_shape": lambda d: _rewrite_sweeps(d, lambda a: a[:, :1]),
     "unknown_format": _unknown_format,
     "manifest_not_json": _truncate_manifest,
+    "manifest_integer_past_int_digit_limit": _long_manifest_integer,
     "manifest_no_scan_grid": _edit_manifest(lambda m: m.pop("scan_grid")),
     "manifest_int_scan_grid": _edit_manifest(lambda m: m.update(scan_grid=5)),
     "manifest_unknown_plan_key": _edit_manifest(lambda m: m["frequency_plan"].update(f_mid_hz=1.0)),

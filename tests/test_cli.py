@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import SCENES, SMALL_PLAN, SPOILED_BUNDLES, shipped_scene, write_csv_bundle
 
-from thznirs import cli
+from thznirs import cli, reflfit
 from thznirs.cli import main
 from thznirs.pathloss import CiModel, directional_path_loss, omni_path_loss
 from thznirs.pdap import pdap_from_sweeps
@@ -441,11 +441,21 @@ def test_scene_file_not_json_names_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
 
 
+def test_scene_integer_past_int_digit_limit_exits_2(tmp_path, capsys):
+    text = Path(SCENES, "corridor_mini.json").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"f_start_hz": 306000000000.0', '"f_start_hz": ' + "9" * 5001))
+    assert main(["synth", "--scene", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"error: {bad}: invalid JSON (an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits)\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_internal_key_error_exits_1(tmp_path, capsys, monkeypatch):
     def broken(groups):
         raise KeyError("b_grid")
 
-    monkeypatch.setattr("thznirs.cli.fit_refl_models", broken)
+    monkeypatch.setattr(reflfit, "fit_refl_models", broken)
     rc = main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
@@ -456,7 +466,7 @@ def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
     def broken(entries, path):
         raise ValueError("table slip")
 
-    monkeypatch.setattr("thznirs.cli.write_fit_table_csv", broken)
+    monkeypatch.setattr(reflfit, "write_fit_table_csv", broken)
     rc = main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
@@ -1298,14 +1308,14 @@ def test_fit_pool_names_the_first_failing_group(tmp_path, capsys, monkeypatch, w
 def test_fit_worker_that_dies_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_worker_count", lambda: 2)
     samples = _write_fit_batch(tmp_path / "s.csv", n_groups=6)
-    fit = cli.fit_refl_models
+    fit = reflfit.fit_refl_models
 
     def dies_on_24_angles(groups):  # the fork carries this patch into the workers
         if any(len(group) == 24 for group in groups):
             os._exit(3)
         return fit(groups)
 
-    monkeypatch.setattr(cli, "fit_refl_models", dies_on_24_angles)
+    monkeypatch.setattr(reflfit, "fit_refl_models", dies_on_24_angles)
     out = tmp_path / "t.csv"
     assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -1320,7 +1330,7 @@ def test_fit_worker_fault_is_reraised_and_exits_1(tmp_path, capsys, monkeypatch)
     def faulty(groups):  # fails on its first group, as a per-group fit would
         raise ZeroDivisionError(f"fault on {len(groups[0])} samples")
 
-    monkeypatch.setattr(cli, "fit_refl_models", faulty)
+    monkeypatch.setattr(reflfit, "fit_refl_models", faulty)
     out = tmp_path / "t.csv"
     assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: internal: fault on 8 samples\n"
@@ -1367,6 +1377,37 @@ def test_cli_import_and_fit_load_only_the_fitter(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+_SYNTH_MODULES = {"cli", "errors", "fileio", "scene", "synthchan"}
+SUBCOMMAND_MODULES = {  # the thznirs.* modules each subcommand loads
+    "synth": _SYNTH_MODULES,
+    # pathloss imports reflfit's additional_reflection_loss
+    "pipeline": _SYNTH_MODULES | {"calibrate", "pathloss", "pdap", "reflfit"},
+    "fit": {"cli", "errors", "fileio", "reflfit"},
+    "coverage": {"cli", "errors", "fileio", "scene", "coverage"},
+}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    scene, bundles, results = f"{SCENES}/corridor_mini.json", tmp_path / "b", tmp_path / "r.csv"
+    chain = (
+        ["synth", "--scene", scene, "--max-bounces", "1", "--out", str(bundles)],
+        ["pipeline", "--scene", scene, "--bundle", str(bundles), "--out", str(results)],
+        ["fit", "--samples", str(results), "--out", str(tmp_path / "t.csv")],
+        ["coverage", "--scene", scene, "--results", str(results), "--out", str(tmp_path / "c.csv")],
+    )
+    code = ("import json, sys\n"
+            "from thznirs.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps([sorted(m[8:] for m in sys.modules if m.startswith('thznirs.')),\n"
+            "                  'numpy.ma' in sys.modules]))\n")
+    for argv in chain:  # each step in a fresh interpreter, as the shell chain runs it
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        modules, numpy_ma = json.loads(proc.stdout)
+        assert (argv[0], set(modules), numpy_ma) == (argv[0], SUBCOMMAND_MODULES[argv[0]], False)
 
 
 @pytest.mark.parametrize("caller", [None, "3"])

@@ -14,8 +14,10 @@ yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
 
 then, in this process, the profile export (CSV plus JSON sidecar) of the
 default-threshold PDAP of corridor_mini's with-panel rx 0 bundle;
-then, on a hallway_mini copy whose panel keeps only the cells (1, 1) and
-(0, 0) (listed out of that order), synth --max-bounces 3 and pipeline
+then, on a hallway_mini copy whose panel keeps only the cells (2, 1) and
+(0, 0) (listed out of that order; (2, 1) reflects toward rx 0, 4, 7 and 10
+and shadows the chamfer's one-bounce path to rx 11, while no cell of rows 0
+and 1 reflects toward any receiver), synth --max-bounces 3 and pipeline
 --connect/--extra --ple 1.35 against the full hallway_mini scene; then one
 fit --generate with noise, and one fit --samples of 16 seeded noisy
 groups from the paper's fit table (half on 8 angles, half on 24), written
@@ -123,7 +125,7 @@ def run_chain(out: Path) -> None:
     d = out / "hallway_mini_partial"
     d.mkdir()
     data = json.loads((SCENES / "hallway_mini.json").read_text())
-    data["nirs_panels"][0]["active_cells"] = [[1, 1], [0, 0]]
+    data["nirs_panels"][0]["active_cells"] = [[2, 1], [0, 0]]
     (d / "scene.json").write_text(json.dumps(data, indent=2) + "\n")
     _thznirs("synth", "--scene", str(d / "scene.json"), "--max-bounces", "3",
              "--out", str(d / "bundles"))
