@@ -88,21 +88,12 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
-def _bundle_dirs(root: Path) -> list[Path]:
-    if (root / "manifest.json").exists():
-        return [root]
-    subs = sorted(p for p in root.iterdir() if (p / "manifest.json").exists())
-    if not subs:
-        raise ValidationError(f"no sweep bundles under {root}")
-    return subs
-
-
 def _cmd_pipeline(args) -> int:
     from .calibrate import SystemResponse
     from .pathloss import CiModel, rx_path_loss, write_pathloss_csv
     from .pdap import DEFAULT_NOISE_THRESHOLD_DB
     from .scene import load_scene
-    from .synthchan import read_bundle, read_sweep_csv
+    from .synthchan import bundle_dirs, read_bundle, read_sweep_csv
 
     scene = load_scene(args.scene)
     if len(scene.nirs_panels) != 1:
@@ -126,10 +117,10 @@ def _cmd_pipeline(args) -> int:
     threshold_db = DEFAULT_NOISE_THRESHOLD_DB if args.threshold_db is None else args.threshold_db
     rows = []
     seen: dict[int, Path] = {}
-    bundle_dirs = _bundle_dirs(Path(args.bundle))
+    bdirs = bundle_dirs(Path(args.bundle))
     # every bundle must match the scene's plan and grid, so the scene's serve them all
     divisor = None if sys_resp is None else sys_resp.divisor(scene.frequency_plan)
-    for bdir in bundle_dirs:
+    for bdir in bdirs:
         bundle = read_bundle(bdir)
         m = bundle.manifest
         if not 0 <= m.rx_index < scene.n_rx:
@@ -322,7 +313,11 @@ def _cmd_coverage(args) -> int:
 
     scene = load_scene(args.scene)
     budget = LinkBudget()
-    thresholds = _parse_range(args.thresholds) if args.thresholds else default_thresholds()
+    thresholds = default_thresholds() if args.thresholds is None else _parse_range(args.thresholds)
+    ordered = np.sort(thresholds)  # a repeat would write its row twice; fit's angles may repeat
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValidationError(f"--thresholds lists {float(repeated[0])!r} dB more than once")
 
     def curve(results: str) -> list[tuple[float, float]]:
         pl = _read_pl_omni(results, scene.n_rx)

@@ -1,9 +1,10 @@
-"""File output and CSV input rules shared across the toolkit."""
+"""File output, CSV input and JSON rules shared across the toolkit."""
 
 from __future__ import annotations
 
 import csv
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
@@ -77,3 +78,80 @@ def parse_rows(path, rows, parse) -> list:
     except (TypeError, ValueError) as exc:  # a short DictReader row reads as None
         raise ValidationError(f"{path}: data row {len(out) + 1}: {exc}") from None
     return out
+
+
+@contextmanager
+def json_errors(source):
+    """Re-raise any fault met while reading ``source``'s JSON as ValidationError naming it.
+
+    A ValidationError gains the ``source`` prefix once, so nested readers of
+    the same file name it a single time.
+    """
+    prefix = f"{source}: "
+    try:
+        yield
+    except ValidationError as exc:
+        if not str(exc).startswith(prefix):
+            exc.args = (prefix + str(exc),)
+        raise
+    except Exception as exc:  # json_read has named any missing key before it is read
+        raise ValidationError(prefix + str(exc)) from exc
+
+
+def json_parse(text: str):
+    """The value JSON ``text`` holds; text that ``json`` cannot parse raises ValidationError."""
+    import json  # here, not at the top: fit reads and writes only CSV, so it never loads json
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON ({exc})") from None
+    except ValueError:  # an integer longer than int() converts; its message advises code changes
+        raise ValidationError("invalid JSON (an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits)") from None
+
+
+NUMBER = "number"  # a JSON int or float that float64 holds: RFC 8259 has no NaN, true is no number
+ANY = "any"  # any value; the dataclass that takes it checks it
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+
+
+def json_read(value, kind, path: str = ""):
+    """``value`` if it has ``kind`` all the way down; a fault names the key ``path``.
+
+    A kind is an exact JSON type (``true`` and ``5.7`` are no ``int``), ``NUMBER``,
+    ``ANY``, ``[kind]`` for an array of that kind, or a ``{key: kind}`` table: a key
+    ending in ``?`` is optional and a key the table lacks is rejected.  Missing keys
+    are reported before any value's kind.
+    """
+    if isinstance(kind, dict):
+        json_read(value, dict, path)
+        keys = {k.rstrip("?"): k for k in kind}
+        where = path or "top level"
+        unknown = set(value) - set(keys)
+        if unknown:
+            raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+        for key, spelt in keys.items():
+            if key not in value and key == spelt:
+                raise ValidationError(f"missing required key '{key}' in {where}")
+        for key, item in value.items():
+            json_read(item, kind[keys[key]], f"{path}.{key}" if path else key)
+    elif isinstance(kind, list):
+        json_read(value, list, path)
+        for i, item in enumerate(value):
+            json_read(item, kind[0], f"{path}[{i}]")
+    elif kind is NUMBER:
+        if type(value) not in (int, float):
+            raise ValidationError(f"{path} must be a JSON number, got {type(value).__name__}")
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int no float holds
+            shown = value if type(value) is float else f"an integer of {len(str(abs(value)))} digits"
+            raise ValidationError(f"{path} must be a finite JSON number, got {shown}")
+    elif kind is not ANY and type(value) is not kind:
+        raise ValidationError(
+            f"{path} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def write_json(path, value) -> None:
+    """The one JSON writer: 2-space indents, sorted keys, a final newline, written atomically."""
+    import json
+    atomic_write(path, json.dumps(value, indent=2, sort_keys=True) + "\n")

@@ -12,14 +12,13 @@ gives the profile; entries below the noise threshold are replaced by the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write, write_csv
+from .fileio import write_csv, write_json
 from .scene import ScanGrid, grid_to_json
 
 SENTINEL_DB = -300.0
@@ -119,11 +118,10 @@ def export_pdap_csv(pdap: Pdap, path) -> None:
     write_csv(path, "el_deg,az_deg,delay_ns,power_db",
               ((el[i], az[j], k * pdap.delay_step_s * 1e9, p)
                for (i, j, k), p in np.ndenumerate(pdap.power_db) if p != SENTINEL_DB))
-    meta = {
+    write_json(path.with_suffix(".json"), {
         "scan_grid": grid_to_json(pdap.grid),
         "noise_threshold_db": pdap.noise_threshold_db,
         "sentinel_db": SENTINEL_DB,
         "delay_step_s": pdap.delay_step_s,
         "n_delay": pdap.n_delay,
-    }
-    atomic_write(path.with_suffix(".json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })

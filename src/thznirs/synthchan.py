@@ -9,7 +9,6 @@ Doubles as the oracle the rest of the pipeline is verified against.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write, open_csv, parse_rows, write_csv
+from .fileio import (atomic_write, json_errors, json_parse, json_read, open_csv, parse_rows,
+                     write_csv, write_json)
 from .scene import (
     GRID_JSON,
     PLAN_JSON,
@@ -31,9 +31,6 @@ from .scene import (
     Surface,
     frequency_grid,
     grid_to_json,
-    json_errors,
-    json_parse,
-    json_read,
     plan_to_json,
 )
 
@@ -295,6 +292,7 @@ def synthesize_sweep(
 # ---------------------------------------------------------------------------
 SWEEP_CSV_HEADER = "freq_hz,s21_re,s21_im"
 SWEEPS_FILE = "sweeps.npy"
+MANIFEST_FILE = "manifest.json"  # written last: its presence marks a complete bundle
 BUNDLE_FORMAT = "npy"
 # The manifest's keys besides its plan and grid, each with its exact JSON type.
 # A key that is a BundleManifest property, not a field (band_label), must equal it.
@@ -355,14 +353,14 @@ def write_bundle(bundle: SweepBundle, dirpath) -> None:
     """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    manifest_path = d / "manifest.json"
+    manifest_path = d / MANIFEST_FILE
     manifest_path.unlink(missing_ok=True)
     m = bundle.manifest
     manifest = {key: getattr(m, key) for key in MANIFEST_KEYS}
     manifest.update(format=BUNDLE_FORMAT, frequency_plan=plan_to_json(m.plan),
                     scan_grid=grid_to_json(m.grid))
     atomic_write(d / SWEEPS_FILE, lambda fh: np.save(fh, bundle.sweeps, allow_pickle=False))
-    atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
 
 
 def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
@@ -383,6 +381,16 @@ def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
     return sweeps
 
 
+def bundle_dirs(root: Path) -> list[Path]:
+    """``[root]`` if it is a bundle, else its bundle subdirectories in name order."""
+    if (root / MANIFEST_FILE).exists():
+        return [root]
+    subs = sorted(p for p in root.iterdir() if (p / MANIFEST_FILE).exists())
+    if not subs:
+        raise ValidationError(f"no sweep bundles under {root}")
+    return subs
+
+
 def read_bundle(dirpath) -> SweepBundle:
     """Read a bundle directory; the manifest's ``format`` key picks the layout.
 
@@ -391,7 +399,7 @@ def read_bundle(dirpath) -> SweepBundle:
     direction (``el<i>_az<j>.csv``).
     """
     d = Path(dirpath)
-    manifest_path = d / "manifest.json"
+    manifest_path = d / MANIFEST_FILE
     if not manifest_path.exists():
         raise ValidationError(f"missing bundle manifest: {manifest_path}")
     with json_errors(manifest_path):

@@ -1120,7 +1120,7 @@ def _write_results(path, scene_file, pl_values):
 
 
 @pytest.mark.parametrize(
-    "spec", ["5:10", "a:1:3", "1,,2", "0:1:inf", "nan,1", "1,inf", "0:inf:30", "nan:1:3",
+    "spec", ["", "5:10", "a:1:3", "1,,2", "0:1:inf", "nan,1", "1,inf", "0:inf:30", "nan:1:3",
              "0:1e-15:1",  # 10**15 points, which numpy refuses at once to allocate
              "30:1:10"]  # stop below start: no points
 )
@@ -1139,6 +1139,19 @@ def test_malformed_range_names_spec_exits_2(tmp_path, capsys, spec):
         err = capsys.readouterr().err
         assert err.startswith(f"error: range '{spec}': ") and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("spec, value", [("5,5,5", "5.0"), ("3,1,2,1", "1.0")])
+def test_repeated_threshold_exits_2_but_repeated_angle_fits(tmp_path, capsys, spec, value):
+    scene_file = f"{SCENES}/corridor_mini.json"
+    results = tmp_path / "results.csv"
+    _write_results(results, scene_file, [105.0] * 9)
+    assert main(["coverage", "--scene", scene_file, "--results", str(results),
+                 f"--thresholds={spec}", "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == f"error: --thresholds lists {value} dB more than once\n"
+    assert not (tmp_path / "c.csv").exists()
+    assert main(["fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
+                 f"--angles={spec},15,35,55,75", "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_coverage_thresholds_flag_gives_41_rows(tmp_path):
@@ -1370,13 +1383,13 @@ def test_cli_import_and_fit_load_only_the_fitter(tmp_path):
         "print(loaded())\n"
         "assert thznirs.cli.main(['fit', '--generate', 'hallway,306-321GHz,15.79,3.52,0.59,1.51',\n"
         f"                         '--out', {str(tmp_path / 'g.csv')!r}]) == 0\n"
-        "print(loaded())\n"
+        "print(loaded(), 'json' in sys.modules)\n"
         "from thznirs.reflfit import additional_reflection_loss\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[] False"]
 
 
 _SYNTH_MODULES = {"cli", "errors", "fileio", "scene", "synthchan"}

@@ -1,4 +1,4 @@
-"""The package has no orphan module: each one is imported by another."""
+"""Package layout rules: no orphan module, and JSON handled in one module only."""
 
 import ast
 from pathlib import Path
@@ -28,3 +28,15 @@ def test_every_module_is_imported_by_another_module():
     }
     orphans = sorted(modules.keys() - imported - {"__init__", "__main__"})
     assert orphans == []
+
+
+def test_only_fileio_parses_or_writes_json():
+    calls = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and node.func.attr in ("dumps", "loads", "dump", "load")
+    }
+    assert sorted(c for c in calls if not c.startswith("fileio.py:")) == []

@@ -16,7 +16,7 @@ from conftest import (
     write_csv_bundle,
 )
 
-from thznirs import synthchan
+from thznirs import fileio, synthchan
 from thznirs.errors import ValidationError
 from thznirs.scene import (
     SPEED_OF_LIGHT,
@@ -325,14 +325,14 @@ def test_bundle_rejects_spoiled_csv_bundle_manifest(tmp_path, case):
 def test_interrupted_bundle_write_leaves_no_manifest(tmp_path, monkeypatch):
     d = tmp_path / "bundle"
     write_bundle(_two_direction_bundle(), d)  # an earlier, complete bundle
-    real_write = synthchan.atomic_write
+    real_write = fileio.atomic_write
 
     def fail_on_manifest(path, data):
         if path.name == "manifest.json":
             raise OSError("disk full")
         real_write(path, data)
 
-    monkeypatch.setattr(synthchan, "atomic_write", fail_on_manifest)
+    monkeypatch.setattr(fileio, "atomic_write", fail_on_manifest)  # write_json's, not the npy's
     with pytest.raises(OSError, match="disk full"):
         write_bundle(_two_direction_bundle(), d)
     assert sorted(p.name for p in d.iterdir()) == ["sweeps.npy"]
