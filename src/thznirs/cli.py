@@ -72,8 +72,11 @@ def _csv_rows(path: str, first: str, second: str, parse) -> list:
 # ---------------------------------------------------------------------------
 def _cmd_synth(args) -> int:
     from .scene import load_scene
-    from .synthchan import synthesize_sweep, write_bundle
+    from .synthchan import MAX_BOUNCES, synthesize_sweep, write_bundle
 
+    if not 0 <= args.max_bounces <= MAX_BOUNCES:
+        raise ValidationError(
+            f"--max-bounces must lie in [0, {MAX_BOUNCES}], got {args.max_bounces}")
     scene = load_scene(args.scene)
     scenario = Path(args.scene).stem
     out = Path(args.out)
@@ -321,7 +324,11 @@ def _cmd_coverage(args) -> int:
 
     def curve(results: str) -> list[tuple[float, float]]:
         pl = _read_pl_omni(results, scene.n_rx)
-        return coverage_curve(interpolate_path_loss(scene.rx_positions, pl), budget, thresholds)
+        try:
+            cmap = interpolate_path_loss(scene.rx_positions, pl)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.scene}: rx positions: {exc}") from None
+        return coverage_curve(cmap, budget, thresholds)
 
     curve_with = curve(args.results)
     ratios_without = None

@@ -74,17 +74,12 @@ class CoverageMap:
     anchor_pl_db: np.ndarray  # (n,)
     sample_arc_m: np.ndarray  # (m,) cell midpoints
     sample_pl_db: np.ndarray  # (m,)
-    resolution_m: float
 
     def __post_init__(self):
         for name in ("anchor_arc_m", "anchor_pl_db", "sample_arc_m", "sample_pl_db"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def total_length_m(self) -> float:
-        return float(self.anchor_arc_m[-1])
 
     def pl_at(self, arc_m: float) -> float:
         """Path loss at an arc-length position; exact at the anchors."""
@@ -111,7 +106,7 @@ def interpolate_path_loss(
     if pos.ndim == 1:
         pos = pos[:, None]
     if pos.shape[0] < 2:
-        raise ValidationError("interpolation needs at least 2 positions")
+        raise ValidationError(f"interpolation needs at least 2 positions, got {pos.shape[0]}")
     pl = np.asarray(pl_db, dtype=float)
     if pl.shape[0] != pos.shape[0]:
         raise ValidationError("positions and path-loss values must pair up")
@@ -138,7 +133,6 @@ def interpolate_path_loss(
         anchor_pl_db=pl,
         sample_arc_m=np.array(mids),
         sample_pl_db=np.array(vals),
-        resolution_m=float(resolution_m),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoSignalError, ThzNirsError, ValidationError
 from .fileio import write_csv
-from .pdap import DEFAULT_NOISE_THRESHOLD_DB, SENTINEL_DB, Pdap, pdap_from_sweeps
+from .pdap import DEFAULT_NOISE_THRESHOLD_DB, Pdap, pdap_from_sweeps
 from .reflfit import additional_reflection_loss
 from .scene import SPEED_OF_LIGHT, Scene, nirs_angle_set, rx_link_geometry
 
@@ -44,12 +44,11 @@ def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
     return fspl_ref + 10.0 * model.ple * math.log10(d_m)
 
 
-def _linear_power_sum(pdap: Pdap, el_idx: np.ndarray, az_idx: np.ndarray) -> float:
-    block = pdap.power_db[el_idx, az_idx, :]
-    mask = block != SENTINEL_DB
-    if not np.any(mask):
+def _linear_power_sum(pdap: Pdap, where=...) -> float:
+    """Linear power summed over the signal entries of ``pdap.power_db[where]``."""
+    power_db = pdap.power_db[where][pdap.signal_mask()[where]]
+    if not power_db.size:
         raise NoSignalError("path loss: every selected entry is noise")
-    power_db = block[mask]
     with np.errstate(over="ignore"):
         total = float(np.sum(10.0 ** (power_db / 10.0)))
     if not math.isfinite(total):
@@ -68,17 +67,12 @@ def directional_path_loss(pdap: Pdap, angle_set: Iterable[tuple[int, int]]) -> f
             raise ValidationError(
                 f"directional path loss: angle index ({i},{j}) outside the scan grid"
             )
-    el = np.array([i for i, _ in pairs])
-    az = np.array([j for _, j in pairs])
-    return -10.0 * math.log10(_linear_power_sum(pdap, el, az))
+    return -10.0 * math.log10(_linear_power_sum(pdap, tuple(np.array(pairs).T)))
 
 
 def omni_path_loss(pdap: Pdap) -> float:
     """Directional path loss with the full scan grid as the angle set."""
-    el, az = np.meshgrid(
-        np.arange(pdap.grid.n_elevation), np.arange(pdap.grid.n_azimuth), indexing="ij"
-    )
-    return -10.0 * math.log10(_linear_power_sum(pdap, el.ravel(), az.ravel()))
+    return -10.0 * math.log10(_linear_power_sum(pdap))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ gives the profile; entries below the noise threshold are replaced by the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,7 +56,8 @@ class Pdap:
         return int(self.power_db.shape[2])
 
     def signal_mask(self) -> np.ndarray:
-        """Boolean cube: True where the entry is signal, False where sentinel."""
+        """Boolean cube, True where the entry is signal and False where sentinel: the
+        one test of the noise encoding, which the path-loss sums and the export read."""
         return self.power_db != SENTINEL_DB
 
 
@@ -72,8 +74,9 @@ def _power_db(samples: np.ndarray) -> np.ndarray:
 
 def _threshold(power_db: np.ndarray, noise_threshold_db: float) -> np.ndarray:
     """``power_db`` with every entry below the threshold set to the sentinel."""
-    if not (noise_threshold_db > SENTINEL_DB):
-        raise ValidationError("noise threshold must exceed the -300 dB sentinel")
+    if not (math.isfinite(noise_threshold_db) and noise_threshold_db > SENTINEL_DB):
+        raise ValidationError(f"noise threshold {noise_threshold_db:g} dB must be finite and "
+                              f"above the {SENTINEL_DB:g} dB sentinel")
     return np.where(power_db < noise_threshold_db, SENTINEL_DB, power_db)
 
 
@@ -114,10 +117,10 @@ def export_pdap_csv(pdap: Pdap, path) -> None:
     elevation, azimuth, delay.
     """
     path = Path(path)
-    el, az = pdap.grid.elevation_deg, pdap.grid.azimuth_deg
+    i, j, k = np.nonzero(pdap.signal_mask())
+    el, az = np.array(pdap.grid.elevation_deg), np.array(pdap.grid.azimuth_deg)
     write_csv(path, "el_deg,az_deg,delay_ns,power_db",
-              ((el[i], az[j], k * pdap.delay_step_s * 1e9, p)
-               for (i, j, k), p in np.ndenumerate(pdap.power_db) if p != SENTINEL_DB))
+              zip(el[i], az[j], k * pdap.delay_step_s * 1e9, pdap.power_db[i, j, k]))
     write_json(path.with_suffix(".json"), {
         "scan_grid": grid_to_json(pdap.grid),
         "noise_threshold_db": pdap.noise_threshold_db,

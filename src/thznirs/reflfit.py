@@ -297,7 +297,7 @@ def _window(samples: Iterable[ReflSample]) -> tuple:
     raises ValidationError if the samples cannot be fitted."""
     kept = sorted(samples, key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id))
     if len(kept) < 4:
-        raise ValidationError(f"fit needs at least 4 with-NIRS samples, got {len(kept)}")
+        raise ValidationError(f"fit needs at least 4 samples, got {len(kept)}")
     angles = np.array([s.reflection_angle_deg for s in kept])
     losses = np.array([s.additional_loss_db for s in kept])
     gaps = np.diff(angles)  # the angles ascend, so a zero gap is a repeated angle

@@ -1,6 +1,6 @@
 """Image-method synthetic channel generator.
 
-Enumerates specular propagation paths (up to 3 bounces) in a scene of
+Enumerates specular propagation paths (up to ``MAX_BOUNCES``) in a scene of
 opaque rectangular surfaces with a breadth-first image tree, then
 synthesizes per-direction frequency sweeps on the measurement scan grid.
 Doubles as the oracle the rest of the pipeline is verified against.
@@ -35,6 +35,7 @@ from .scene import (
 )
 
 _SEG_EPS = 1e-9  # segment-parameter margin excluding the endpoints
+MAX_BOUNCES = 3  # the image tree's depth limit
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ def enumerate_paths(scene: Scene, rx_index: int, max_bounces: int = 2) -> list[P
     Each order's reflection points are then backtracked from the Rx and
     occlusion-tested as array operations over all its sequences at once.
     """
-    if not (0 <= max_bounces <= 3):
-        raise ValidationError("enumerate_paths: max_bounces must lie in [0, 3]")
+    if not (0 <= max_bounces <= MAX_BOUNCES):
+        raise ValidationError(f"enumerate_paths: max_bounces must lie in [0, {MAX_BOUNCES}]")
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     surfaces, rects = scene.surfaces(), scene.surface_stack

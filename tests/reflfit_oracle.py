@@ -76,7 +76,7 @@ def fit_refl_model(samples) -> FitResult:
     kept = sorted(samples, key=lambda s: (s.reflection_angle_deg, s.additional_loss_db, s.rx_id))
     if len(kept) < 4:
         raise ValidationError(
-            f"fit needs at least 4 with-NIRS samples, got {len(kept)}"
+            f"fit needs at least 4 samples, got {len(kept)}"
         )
     angles = np.array([s.reflection_angle_deg for s in kept])
     losses = np.array([s.additional_loss_db for s in kept])

@@ -103,6 +103,16 @@ def test_synth_flags_panel_free_scene(tmp_path):
     assert manifest["nirs"] is False
 
 
+@pytest.mark.parametrize("bounces", ["4", "-1"])
+def test_synth_names_the_max_bounces_flag(tmp_path, capsys, bounces):
+    out = tmp_path / "bundles"
+    rc = main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out),
+               "--max-bounces", bounces])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --max-bounces must lie in [0, 3], got {bounces}\n"
+    assert not out.exists()
+
+
 def test_synth_rejects_nonplanar_wall(tmp_path, capsys):
     data = scene_to_dict(shipped_scene("corridor_mini.json"))
     corners = np.array(data["walls"][0]["corners"])
@@ -642,6 +652,20 @@ def test_pipeline_names_rx_whose_path_loss_fails(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-300"])
+def test_pipeline_names_a_threshold_not_finite_above_the_sentinel(tmp_path, capsys, threshold):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
+                 "--max-bounces", "0"]) == 0
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/hallway_mini.json", "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv"), f"--threshold-db={threshold}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: noise threshold {threshold} dB must be finite "
+                                       "and above the -300 dB sentinel\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_pipeline_power_sum_overflow_exits_2(tmp_path, capsys):
     out = tmp_path / "bundles"
     assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
@@ -803,6 +827,20 @@ def test_fit_underdetermined_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("source", ["samples", "generate"])
+def test_fit_with_three_samples_says_samples(tmp_path, capsys, source):
+    """No fit input is filtered to with-NIRS rows, so the message counts samples."""
+    samples = tmp_path / "s.csv"
+    samples.write_text("reflection_angle_deg,l_ref_db\n5,10\n15,11\n25,12\n")
+    argv = (["--samples", str(samples)] if source == "samples" else
+            ["--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51", "--angles", "5,15,25"])
+    out = tmp_path / "t.csv"
+    assert main(["fit", *argv, "--out", str(out)]) == 2
+    where = f"{samples}: group samples/: " if source == "samples" else ""
+    assert capsys.readouterr().err == f"error: {where}fit needs at least 4 samples, got 3\n"
+    assert not out.exists()
 
 
 def test_fit_seeded_noise_is_reproducible(tmp_path):
@@ -1002,7 +1040,7 @@ def test_fit_samples_without_data_rows_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "bad_rows, reason",
     [
-        ([(5, 10.0), (15, 11.0), (25, 12.0)], "fit needs at least 4 with-NIRS samples, got 3"),
+        ([(5, 10.0), (15, 11.0), (25, 12.0)], "fit needs at least 4 samples, got 3"),
         ([(35, 10.0 + k) for k in range(5)], "all sample angles are identical"),
     ],
     ids=["too_few", "one_angle"],
@@ -1212,6 +1250,26 @@ def test_coverage_duplicate_rx_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("positions, reason", [
+    ([[1.0, 2.0, 1.5]], "interpolation needs at least 2 positions, got 1"),
+    ([[1.0, 2.0, 1.5]] * 2, "duplicate positions at indices 0 and 1"),
+], ids=["one_rx", "two_equal_rx"])
+def test_coverage_names_the_scene_whose_receivers_give_no_polyline(
+        tmp_path, capsys, positions, reason):
+    data = json.loads(Path(f"{SCENES}/corridor_mini.json").read_text())
+    data["rx"]["positions"] = positions
+    scene_file = tmp_path / "few_rx.json"
+    scene_file.write_text(json.dumps(data))
+    results = tmp_path / "r.csv"
+    _write_results(results, scene_file, [105.0] * len(positions))
+    out = tmp_path / "c.csv"
+    rc = main(["coverage", "--scene", str(scene_file), "--results", str(results),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {scene_file}: rx positions: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rx_id", ["-1", "9"])
 def test_coverage_unknown_rx_exits_2(tmp_path, capsys, rx_id):
     scene_file = f"{SCENES}/corridor_mini.json"
@@ -1314,7 +1372,7 @@ def test_fit_pool_names_the_first_failing_group(tmp_path, capsys, monkeypatch, w
     err = capsys.readouterr().err
     # corridor-g14 sorts before hallway-g05, so it is named although made later
     assert err == (f"error: {samples}: group corridor-g14/356-371GHz: "
-                   "fit needs at least 4 with-NIRS samples, got 3\n")
+                   "fit needs at least 4 samples, got 3\n")
     assert not out.exists()
 
 

@@ -94,7 +94,7 @@ def test_samples_stay_within_anchor_range(rng):
 def test_polyline_from_3d_positions():
     positions = np.array([[0.0, 0.0, 1.75], [3.0, 4.0, 1.75], [3.0, 10.0, 1.75]])
     cmap = interpolate_path_loss(positions, [100.0, 105.0, 110.0], resolution_m=0.5)
-    assert cmap.total_length_m == pytest.approx(5.0 + 6.0, abs=1e-12)
+    assert cmap.anchor_arc_m[-1] == pytest.approx(5.0 + 6.0, abs=1e-12)
 
 
 def test_duplicate_positions_rejected():

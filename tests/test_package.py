@@ -1,4 +1,5 @@
-"""Package layout rules: no orphan module, and JSON handled in one module only."""
+"""Package layout rules: no orphan module, and JSON and the noise sentinel each
+handled in one module only."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,16 @@ def test_only_fileio_parses_or_writes_json():
         and node.func.attr in ("dumps", "loads", "dump", "load")
     }
     assert sorted(c for c in calls if not c.startswith("fileio.py:")) == []
+
+
+def test_only_pdap_names_the_noise_sentinel():
+    """Every other module tells signal from noise through ``Pdap.signal_mask()``."""
+    uses = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "SENTINEL_DB")
+        or (isinstance(node, ast.Attribute) and node.attr == "SENTINEL_DB")
+        or (isinstance(node, ast.alias) and node.name == "SENTINEL_DB")
+    }
+    assert sorted(u for u in uses if not u.startswith("pdap.py:")) == []

@@ -263,13 +263,13 @@ def test_lockstep_gives_each_bad_group_its_own_error():
         with pytest.raises(ValidationError) as single:
             fit_refl_model(bad)
         assert str(error) == str(single.value)
-    assert str(fits[1]) == "fit needs at least 4 with-NIRS samples, got 3"
+    assert str(fits[1]) == "fit needs at least 4 samples, got 3"
     assert str(fits[3]).startswith("fit: losses up to 8e+200 dB overflow float64")
 
 
 def test_fit_errors():
     gen = TABLE_ROWS[("corridor", "306-321GHz")]
-    with pytest.raises(ValidationError, match="at least 4 with-NIRS samples"):
+    with pytest.raises(ValidationError, match="at least 4 samples"):
         fit_refl_model(generate_samples(gen, [5.0, 15.0, 25.0]))
     two_angles = [
         ReflSample(0, 10.0, 5.0), ReflSample(1, 10.0, 5.1),
