@@ -46,7 +46,7 @@ def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
 
 def _linear_power_sum(pdap: Pdap, where=...) -> float:
     """Linear power summed over the signal entries of ``pdap.power_db[where]``."""
-    power_db = pdap.power_db[where][pdap.signal_mask()[where]]
+    power_db = pdap.power_db[where][pdap.signal_mask(where)]
     if not power_db.size:
         raise NoSignalError("path loss: every selected entry is noise")
     with np.errstate(over="ignore"):

@@ -55,10 +55,11 @@ class Pdap:
     def n_delay(self) -> int:
         return int(self.power_db.shape[2])
 
-    def signal_mask(self) -> np.ndarray:
-        """Boolean cube, True where the entry is signal and False where sentinel: the
-        one test of the noise encoding, which the path-loss sums and the export read."""
-        return self.power_db != SENTINEL_DB
+    def signal_mask(self, where=...) -> np.ndarray:
+        """Boolean array over ``power_db[where]`` (by default the whole cube), True where
+        the entry is signal and False where sentinel: the one test of the noise
+        encoding, which the path-loss sums and the export read."""
+        return self.power_db[where] != SENTINEL_DB
 
 
 def cir_array(sweeps: np.ndarray) -> np.ndarray:

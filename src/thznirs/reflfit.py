@@ -11,6 +11,14 @@ by a deterministic two-parameter grid search over (b, phi_bar) with a
 closed-form least-squares solve for (a, c) at every grid point, followed by
 nested grid refinement so that noiseless generators are recovered to 1e-6
 even when their b falls between coarse grid points.
+
+Each stage of the b refinement scans only the coarse phi_bar points that a
+lower bound on the rmse cannot rule out.  The bound covers every exponent of
+the stage at once: u^b is convex in b, and a >= 0 is bounded by the fit's own
+residuals (a branch-and-bound cut, with (a, c) profiled out as in variable
+projection).  A point is skipped only if no exponent's fit there can come
+within the 1e-12 tie tolerance of the best, so the fits are the same bit for
+bit as those of the full scan.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ PHI_GRID_STEP_DEG = 0.01
 REFINE_STAGES = 7
 _TIE_TOL = 1e-12
 _BLOCK_ELEMS = 1 << 16  # (samples, rows, k) elements per array op: temporaries stay in cache
+_BOUND_RTOL = 1e-9  # rounding margin of the phi_bar cut, relative to the losses' scale
 
 
 @dataclass(frozen=True)
@@ -219,37 +228,141 @@ def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: 
     return out
 
 
+def _coarse_grid(lo: float, hi: float) -> np.ndarray:
+    """The 0.01 deg phi_bar grid over [lo, hi]."""
+    n_phi = max(1, int(round((hi - lo) / PHI_GRID_STEP_DEG)) + 1)
+    grid = lo + PHI_GRID_STEP_DEG * np.arange(n_phi)
+    return grid[grid <= hi + 1e-12]
+
+
+def _bound_terms(angles: np.ndarray, losses: np.ndarray, b: np.ndarray,
+                 grid: np.ndarray) -> np.ndarray:
+    """Per grid point phi_bar, the terms (rho3, |G|, |y_p - y_q|, D) of a
+    lower bound on the kernel's rmse at every exponent in [b1, b2], the
+    range of b; _cut says how they combine.  A (4, k) array.
+
+    With u = |phi - phi_bar| and x(b) = u^b, e = x(b2) - x(b1) comes from
+    expm1, so that its direction survives b2 - b1 down to 1e-7.  rho3 is the
+    norm of the residual vector of y on {1, x(b1), e} after Gram-Schmidt,
+    with e orthogonalised twice.  A point whose basis vectors keep less than
+    1e-4 of their norm there, where rounding could move rho3 by more than
+    _cut's margin, gets rho3 = 0, which is never cut.  So do all points
+    unless sum(y^2) < 2^1000: below that neither this arithmetic nor the
+    kernel's sums of squared residuals (at most sum(y^2) for any clamped
+    fit) can overflow, so no cut point hides an overflow that the full
+    scan would raise.  Columns go in blocks of about _BLOCK_ELEMS / 4
+    elements."""
+    n, k = angles.shape[0], grid.shape[0]
+    b1, b2 = float(b.min()), float(b.max())
+    terms = np.zeros((4, k))
+    with np.errstate(all="ignore"):
+        if not np.sum(losses * losses) < 2.0 ** 1000:
+            return terms
+        yc = (losses - np.mean(losses))[:, None]
+        cols = max(1, _BLOCK_ELEMS // (4 * n))
+        for s in range(0, k, cols):
+            u = np.abs(angles[:, None] - grid[s:s + cols])  # (n, cols), as the kernel's dist
+            log_u = np.log(u, out=np.zeros_like(u), where=u > 0.0)  # u = 0 has x = G = 0
+            x = u ** b1
+            e = x * np.expm1((b2 - b1) * log_u)
+            top = x + np.maximum(e, 0.0)  # max over [b1, b2] of u^b
+            g = (b2 - b1) ** 2 / 8.0 * _norm(log_u * log_u * top)
+
+            i = np.arange(u.shape[1])
+            p, q = np.argmax(u, axis=0), np.argmin(u, axis=0)
+            dy = np.abs(losses[p] - losses[q])
+            # min over [b1, b2] of x_p less max of x_q, widened past the rounding of u^b
+            den = (x[p, i] + np.minimum(e[p, i], 0.0)) * (1.0 - 1e-12) - top[q, i] * (1.0 + 1e-12)
+
+            q1, ok = _unit(x - np.sum(x, axis=0) / n, x)
+            r = _drop(yc, q1)
+            if b2 > b1:
+                q2, ok2 = _unit(_drop(_drop(e - np.sum(e, axis=0) / n, q1), q1), e)
+                r = _drop(r, q2)
+                ok &= ok2
+            terms[:, s:s + cols] = np.where(ok, _norm(r), 0.0), g, dy, den
+    return terms
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(v * v, axis=0))
+
+
+def _unit(v: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v with unit columns, and where v kept more than 1e-4 of the norm of
+    raw, the column it came from: elsewhere its direction is rounding."""
+    size = _norm(v)
+    return v / np.where(size > 0.0, size, 1.0), size > 1e-4 * _norm(raw)
+
+
+def _drop(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """v less its component along q, column by column; q has unit columns."""
+    return v - q * np.sum(q * v, axis=0)
+
+
+def _cut(terms: np.ndarray, losses: np.ndarray, r_max: float) -> np.ndarray:
+    """Mask of the grid points where the kernel's rmse exceeds r_max at every
+    exponent of the range that _bound_terms covered.
+
+    0 <= a, and u^b is convex in b, so that x(b) lies below the chord through
+    x(b1) and x(b2) by at most G = (b2 - b1)^2 / 8 (ln u)^2 max(x(b1), x(b2)):
+    sqrt(n) rmse >= rho3 - a |G|.  A fit with rmse <= r_max has residuals of
+    norm <= sqrt(n) r_max, so a (x_p - x_q) <= |y_p - y_q| + sqrt(2n) r_max,
+    with p and q the samples farthest from and nearest to phi_bar and
+    x_p - x_q >= D.  Where the fit is unclamped the bound is tight, so it
+    needs a rounding margin: _BOUND_RTOL (max|y| + sqrt(n) r_max), where the
+    kernel's rmse and rho3 round by some n eps of that scale."""
+    rho3, g, dy, den = terms
+    n = losses.shape[0]
+    with np.errstate(all="ignore"):
+        margin = _BOUND_RTOL * (float(np.max(np.abs(losses))) + math.sqrt(n) * r_max)
+        a_max = (dy + math.sqrt(2 * n) * (r_max + margin)) / den
+        return (den > 0.0) & ((rho3 - a_max * g) / math.sqrt(n) - margin > r_max)
+
+
 def _phi_conditional(tasks: list[tuple]) -> list[np.ndarray]:
     """Optimal phi_bar for each exponent of each task (angles, losses, lo,
     hi, b): a coarse 0.01 deg grid over the task's [lo, hi] window, then
-    local grid refinement down to ~1e-9 deg.  The refinement runs the rows
-    of all tasks with the same sample count through one kernel call per
-    stage.  Returns per task the (4, len(b)) rows (rmse, phi, a, c)."""
-    best = []
+    local grid refinement down to ~1e-9 deg.  Returns per task the
+    (4, len(b)) rows (rmse, phi, a, c).
+
+    The coarse scan skips each grid point where _cut proves that every
+    exponent's rmse exceeds r_max, the largest over the task's rows of the
+    rmse at the point of least rho3, plus _TIE_TOL: no such point can win or
+    tie, and the kernel's rmse at a point does not depend on the other
+    points scanned, so the result is the same bit for bit.  The rows of all
+    tasks with the same sample count share one kernel call for r_max and
+    one per refinement stage."""
+    best = [None] * len(tasks)
     by_count: dict[int, list[int]] = {}
-    for t, (angles, losses, lo, hi, b) in enumerate(tasks):
-        n_phi = max(1, int(round((hi - lo) / PHI_GRID_STEP_DEG)) + 1)
-        grid = lo + PHI_GRID_STEP_DEG * np.arange(n_phi)
-        grid = grid[grid <= hi + 1e-12]
-        best.append(_best_over_phi(angles, losses, b, grid))
-        by_count.setdefault(angles.shape[0], []).append(t)
+    for t, task in enumerate(tasks):
+        by_count.setdefault(task[0].shape[0], []).append(t)
     for members in by_count.values():
         angles, losses, lo, hi, b = zip(*(tasks[t] for t in members))
         sizes = [len(bt) for bt in b]
+        grids = [_coarse_grid(*w) for w in zip(lo, hi)]
+        terms = [_bound_terms(*task, grid) for task, grid in zip(zip(angles, losses, b), grids)]
         task_of_row = np.repeat(np.arange(len(members)), sizes)
-        angles = np.stack(angles, axis=1)[:, task_of_row]  # (n, rows): one column per row
-        losses = np.stack(losses, axis=1)[:, task_of_row]
+        rows_of = np.cumsum(sizes)[:-1]
+        a_rows = np.stack(angles, axis=1)[:, task_of_row]  # (n, rows): one column per row
+        y_rows = np.stack(losses, axis=1)[:, task_of_row]
+        b_rows = np.concatenate(b)
+        phi0 = np.array([g[np.argmin(tm[0])] for g, tm in zip(grids, terms)])[task_of_row, None]
+        r0 = np.split(_best_over_phi(a_rows, y_rows, b_rows, phi0)[0], rows_of)
+        for i, t in enumerate(members):
+            cut = _cut(terms[i], losses[i], float(np.max(r0[i])) + _TIE_TOL)
+            best[t] = _best_over_phi(angles[i], losses[i], b[i], grids[i][~cut])
+
         lo, hi = np.array(lo)[task_of_row, None], np.array(hi)[task_of_row, None]
-        b = np.concatenate(b)
         cur = np.concatenate([best[t] for t in members], axis=1)
         step = PHI_GRID_STEP_DEG
         for _ in range(REFINE_STAGES):
             # sorted already; clipped duplicates tie and the first one wins
             local = np.clip(np.linspace(cur[1] - step, cur[1] + step, 21, axis=-1), lo, hi)
-            cand = _best_over_phi(angles, losses, b, local)
+            cand = _best_over_phi(a_rows, y_rows, b_rows, local)
             cur = np.where(cand[0] < cur[0] - _TIE_TOL, cand, cur)
             step /= 10.0
-        for t, rows in zip(members, np.split(cur, np.cumsum(sizes)[:-1], axis=1)):
+        for t, rows in zip(members, np.split(cur, rows_of, axis=1)):
             best[t] = rows
     return best
 

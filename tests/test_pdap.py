@@ -113,6 +113,14 @@ def test_eliminate_matches_brute_force(rng):
     assert np.array_equal(out.power_db, expected)
 
 
+def test_signal_mask_at_an_index_is_the_cube_masks_entries_there(rng):
+    pdap = eliminate_noise(_pdap_from_powers(rng.uniform(-220.0, -80.0, size=(3, 5, 40))), -160.0)
+    pairs = (np.array([0, 0, 2, 2]), np.array([1, 4, 0, 3]))  # (el, az) rows, as path loss reads them
+    for where in (pairs, (1,), (slice(None), 2), ...):
+        assert np.array_equal(pdap.signal_mask(where), pdap.signal_mask()[where])
+    assert pdap.signal_mask().shape == (3, 5, 40)
+
+
 def test_eliminate_idempotent(rng):
     powers = rng.uniform(-220.0, -80.0, size=(2, 4, 30))
     once = eliminate_noise(_pdap_from_powers(powers), -160.0)

@@ -267,6 +267,117 @@ def test_lockstep_gives_each_bad_group_its_own_error():
     assert str(fits[3]).startswith("fit: losses up to 8e+200 dB overflow float64")
 
 
+# ---------------------------------------------------------------------------
+# the phi_bar cut of the coarse scans
+# ---------------------------------------------------------------------------
+def _bound_sets():
+    """Noiseless table rows (rmse ~ 0 at the optimum), seeded noise up to
+    8 dB on 4, 8, 24 and 281 angles, and the clamp-hitting sets."""
+    sets = {name: ORACLE_SETS[name] for name in ORACLE_SETS if not name.startswith("noisy")}
+    rows = list(TABLE_ROWS.values())
+    designs = ([5.0, 25.0, 45.0, 65.0], EIGHT_ANGLES, TWENTY_FOUR_ANGLES, DENSE_ANGLES)
+    for k, (sigma, design) in enumerate((s, d) for s in (0.5, 2.0, 8.0) for d in designs):
+        sets[f"sigma{sigma}-{len(design)}"] = generate_samples(
+            rows[k % 4], design, noise_sigma_db=sigma, rng=np.random.default_rng(k)
+        )
+    return sets
+
+
+BOUND_SETS = _bound_sets()
+
+
+def _fits_at_each_point(angles, losses, b, grid):
+    """The kernel's (rmse, a) at every exponent and grid point, each a
+    (len(b), len(grid)) array: one row per (exponent, point) on a one-point grid."""
+    rows = reflfit._best_over_phi(angles, losses, np.repeat(b, grid.size), np.tile(grid, b.size)[:, None])
+    return rows[0].reshape(b.size, grid.size), rows[2].reshape(b.size, grid.size)
+
+
+@pytest.mark.parametrize("name", list(BOUND_SETS))
+def test_cut_keeps_every_point_at_or_below_its_rmse(name):
+    # If the kernel's rmse at a point, for any exponent in [b1, b2], is at
+    # most r_max, _cut must keep the point; r_max = that rmse is the tightest
+    # case.  Checked at b1, b2 and a point between, over widths from the
+    # first b-refinement stage's down to the last's and a single exponent.
+    # The bound on a that _cut uses, a (x_p - x_q) <= |y_p - y_q| +
+    # sqrt(2n) rmse with x_p - x_q >= D, is checked on its own.
+    samples = BOUND_SETS[name]
+    angles, losses, lo, hi = reflfit._window(samples)
+    grid = reflfit._coarse_grid(lo, hi)
+    b_fit = fit_refl_model(samples).model.b
+    for half in (0.05, 0.005, 5e-8, 0.0):
+        b1, b2 = max(b_fit - half, 0.05), min(b_fit + half, 2.0)
+        terms = reflfit._bound_terms(angles, losses, np.array([b1, b2]), grid)
+        _, _, dy, den = terms
+        rmse, a = _fits_at_each_point(angles, losses, np.array([b1, 0.3 * b1 + 0.7 * b2, b2]), grid)
+        for rmse_b, a_b in zip(rmse, a):
+            assert not reflfit._cut(terms, losses, rmse_b).any(), (name, half)
+            assert np.all((den <= 0.0) | (a_b * den <= dy + math.sqrt(2 * len(losses)) * rmse_b)), (name, half)
+
+
+def _coarse_scans(monkeypatch, samples):
+    """(scanned, whole) coarse grid points of each b-refinement stage's
+    scans of one window."""
+    grid_size = reflfit._coarse_grid(*reflfit._window(samples)[2:]).size
+    scans = []
+    kernel = reflfit._best_over_phi
+
+    def recording(angles, losses, b, grid):
+        if grid.ndim == 1 and b.size < 40:  # a stage's coarse scan, not the coarse b grid's
+            scans.append(grid.size)
+        return kernel(angles, losses, b, grid)
+
+    monkeypatch.setattr(reflfit, "_best_over_phi", recording)
+    fit = fit_refl_model(samples)
+    monkeypatch.undo()
+    return fit, sum(scans), grid_size * len(scans)
+
+
+def test_cut_leaves_under_a_tenth_of_an_8_angle_groups_stage_points(monkeypatch):
+    # the 5:10:75 deg design puts samples on the grid, so the bound meets u = 0
+    gen = TABLE_ROWS[("corridor", "306-321GHz")]
+    samples = generate_samples(gen, EIGHT_ANGLES, noise_sigma_db=0.5, rng=np.random.default_rng(5))
+    fit, scanned, whole = _coarse_scans(monkeypatch, samples)
+    assert fit == reflfit_oracle.fit_refl_model(samples)
+    assert whole > 0 and scanned < 0.1 * whole, (scanned, whole)
+
+
+def _identity_sets(count=300):
+    """Seeded table rows and random laws on random designs of 4-12 angles
+    over 6-16 deg, at sigma = 0, 0.5, 2, 4 and 8 dB."""
+    rng = np.random.default_rng(26)
+    rows = list(TABLE_ROWS.values())
+    sets = []
+    for k in range(count):
+        n = int(rng.integers(4, 13))
+        start, span = rng.uniform(0.0, 60.0), rng.uniform(6.0, 16.0)
+        design = np.linspace(start, start + span, n) + rng.uniform(-0.3, 0.3, n) * span / n
+        law = rows[k % 4] if k % 2 == 0 else ReflLossModel(
+            rng.uniform(start, start + span), rng.uniform(0.1, 5.0), rng.uniform(0.1, 1.95),
+            rng.uniform(0.0, 20.0))
+        sets.append(generate_samples(law, np.clip(np.round(design, 2), 0.0, 90.0),
+                                     noise_sigma_db=(0.0, 0.5, 2.0, 4.0, 8.0)[k % 5], rng=rng))
+    return sets
+
+
+def test_cut_changes_no_fit(monkeypatch):
+    sets = _identity_sets()
+    pruned = reflfit.fit_refl_models(sets)
+    # rho3 = 0 everywhere: the bound cuts nothing, and every point is scanned
+    monkeypatch.setattr(reflfit, "_bound_terms", lambda angles, losses, b, grid: np.zeros((4, grid.size)))
+    assert pruned == reflfit.fit_refl_models(sets)
+    assert all(fit.b_identifiable for fit in pruned)  # every set ran the b refinement
+
+
+@pytest.mark.parametrize("scale", [1e149, 1e150])
+def test_losses_near_float64_overflow_still_fit(scale):
+    # sum(y^2) is 1.5e300, where the bound runs, and 1.5e302, where it keeps
+    # every point; 1e200 still overflows the search itself
+    # (test_lockstep_gives_each_bad_group_its_own_error)
+    near = [ReflSample(k, a, scale * (1.0 + 0.1 * k)) for k, a in enumerate(EIGHT_ANGLES)]
+    assert fit_refl_model(near) == reflfit_oracle.fit_refl_model(near)
+
+
 def test_fit_errors():
     gen = TABLE_ROWS[("corridor", "306-321GHz")]
     with pytest.raises(ValidationError, match="at least 4 samples"):
