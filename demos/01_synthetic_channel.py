@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-from thznirs.scene import load_scene
+from thznirs.scene import load_scene, nirs_panel
 from thznirs.synthchan import enumerate_paths, synthesize_sweep
 
 scene = load_scene(Path(__file__).parent.parent / "scenes" / "corridor_mini.json")
 print(f"corridor scene: {len(scene.walls)} walls, {scene.n_rx} receivers,")
-print(f"panel subdivided {scene.nirs_panels[0].subdivision[0]}x{scene.nirs_panels[0].subdivision[1]}")
+rows, cols = nirs_panel(scene).subdivision
+print(f"panel subdivided {rows}x{cols}")
 
 paths = enumerate_paths(scene, rx_index=0, max_bounces=2)
 print(f"\n{len(paths)} propagation paths reach receiver 0 (max 2 bounces):")

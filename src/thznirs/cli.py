@@ -95,19 +95,14 @@ def _cmd_pipeline(args) -> int:
     from .calibrate import SystemResponse
     from .pathloss import CiModel, rx_path_loss, write_pathloss_csv
     from .pdap import DEFAULT_NOISE_THRESHOLD_DB
-    from .scene import load_scene
+    from .scene import load_scene, nirs_panel
     from .synthchan import bundle_dirs, read_bundle, read_sweep_csv
 
     scene = load_scene(args.scene)
-    if len(scene.nirs_panels) != 1:
-        raise ValidationError(
-            f"{args.scene}: pipeline needs a scene with exactly one NIRS panel to define "
-            f"the angle set, got {len(scene.nirs_panels)}; pass the with-NIRS scene file "
-            "even for without-NIRS bundles"
-        )
-    if scene.nirs_panels[0].active_cells == frozenset():
-        raise ValidationError(f"{args.scene}: the NIRS panel has no active cell, so the angle "
-                              "set that pipeline sums over is empty")
+    try:
+        nirs_panel(scene)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.scene}: pipeline {exc}") from None
     if args.extra and not args.connect:
         raise ValidationError("--extra needs --connect")
     sys_resp = None

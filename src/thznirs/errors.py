@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the toolkit: every broken input
-rule raises ``ValidationError``; the other two errors are outcomes a caller handles."""
+"""Exception types shared across the toolkit: every broken input rule, the
+one-panel rule of ``scene.nirs_panel`` among them, raises ``ValidationError``;
+the other two errors are outcomes a caller handles."""
 
 
 class ThzNirsError(Exception):
@@ -17,6 +18,3 @@ class NoSignalError(ThzNirsError, ValueError):
 class NoSpecularGeometryError(ThzNirsError, ValueError):
     """No specular reflection point exists on the panel for this Tx/Rx pair."""
 
-
-class NoNirsPanelWarning(UserWarning):
-    """Angle-set query on a scene with no active reflector panel cell."""

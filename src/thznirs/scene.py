@@ -14,17 +14,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    NoNirsPanelWarning,
-    NoSpecularGeometryError,
-    ValidationError,
-)
+from .errors import NoSpecularGeometryError, ValidationError
 from .fileio import ANY, NUMBER, json_errors, json_parse, json_read, write_json
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -78,6 +73,8 @@ class FrequencyPlan:
         if not (self.f_step_hz > 0):
             raise ValidationError("frequency plan: f_step must be positive")
         ratio = (self.f_stop_hz - self.f_start_hz) / self.f_step_hz
+        if not math.isfinite(ratio):
+            raise ValidationError("frequency plan: span / f_step overflows to infinity")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ValidationError(
                 "frequency plan: span must be an integer multiple of f_step"
@@ -445,10 +442,13 @@ class NirsPanel:
 
     def __post_init__(self):
         object.__setattr__(self, "material_loss", _as_loss(self.material_loss))
+        if len(self.subdivision) != 2 or min(self.subdivision) < 1:
+            raise ValidationError("panel: subdivision must be [rows, cols], each at least 1, "
+                                  f"got {list(self.subdivision)}")
         rows, cols = self.subdivision
-        if rows < 1 or cols < 1:
-            raise ValidationError("panel: subdivision must be at least 1x1")
         if self.active_cells is not None:
+            if any(len(cell) != 2 for cell in self.active_cells):
+                raise ValidationError("panel: every active cell must be a [row, col] pair")
             cells = frozenset((int(r), int(c)) for r, c in self.active_cells)
             for r, c in cells:
                 if not (0 <= r < rows and 0 <= c < cols):
@@ -521,23 +521,33 @@ class Scene:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+def nirs_panel(scene: Scene) -> NirsPanel:
+    """The scene's one NIRS panel, the reflector of the angle set and the link geometry;
+    ValidationError unless the scene has exactly one panel and it has an active cell."""
+    if len(scene.nirs_panels) != 1:
+        raise ValidationError("needs a scene with exactly one NIRS panel to define the angle set "
+                              f"and link geometry, got {len(scene.nirs_panels)}; use the "
+                              "with-NIRS scene even for without-NIRS sweeps")
+    (panel,) = scene.nirs_panels
+    if panel.active_cells == frozenset():
+        raise ValidationError("needs a NIRS panel with an active cell to define the angle "
+                              "set, but the panel has no active cell")
+    return panel
+
+
 def nirs_angle_set(
     scene: Scene, rx_index: int, grid: ScanGrid | None = None
 ) -> frozenset[tuple[int, int]]:
-    """Scan-grid directions whose ray from the Rx hits an active sub-panel.
+    """Scan-grid directions whose ray from the Rx hits an active cell of ``nirs_panel``.
 
-    Returns (elevation_index, azimuth_index) pairs.  A scene with no active
-    panel cell yields the empty set and a NoNirsPanelWarning rather than an error.
-    Occlusion by walls is not considered; this is the pure view geometry.
-    All directions meet all cells in one batched ray test; a ray counts from
-    1e-9 m past the Rx.
+    Returns (elevation_index, azimuth_index) pairs.  Occlusion by walls is
+    not considered; this is the pure view geometry.  All directions meet all
+    cells in one batched ray test; a ray counts from 1e-9 m past the Rx.
     """
+    nirs_panel(scene)  # so the stack rows after the walls are its active cells
     grid = grid or scene.scan_grid
     rx = scene.rx_position(rx_index)
     cells = scene.surface_stack.take(slice(len(scene.walls), None))
-    if not cells.origin.shape[0]:
-        warnings.warn("scene has no active NIRS panel cell; angle set is empty", NoNirsPanelWarning)
-        return frozenset()
     r, _, hit = cells.cross(rx, grid.direction_vectors()[..., None, :])
     el, az = np.nonzero((hit & (r > 1e-9)).any(axis=-1))
     return frozenset(zip(el.tolist(), az.tolist()))
@@ -557,14 +567,12 @@ def _azimuth_angle_to_normal(direction: np.ndarray, normal: np.ndarray) -> float
 
 
 def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
-    """Specular reflection point of Tx -> panel 0 -> Rx on the panel rectangle.
+    """Specular reflection point of Tx -> panel -> Rx on the ``nirs_panel`` rectangle.
 
     Raises NoSpecularGeometryError when the mirror construction misses the
     panel or Tx and Rx sit on opposite sides of its plane.
     """
-    if not scene.nirs_panels:
-        raise ValidationError("scene has no NIRS panel")
-    panel = RectangleStack.of([scene.nirs_panels[0].rectangle])
+    panel = RectangleStack.of([nirs_panel(scene).rectangle])
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     side_tx, side_rx = _dot(np.stack([tx, rx]) - panel.origin, panel.normal)
@@ -582,7 +590,7 @@ def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
 
 
 def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, float]:
-    """(reflection angle deg, specular?, d1 Tx->point, d2 point->Rx) via panel 0.
+    """(reflection angle deg, specular?, d1 Tx->point, d2 point->Rx) via ``nirs_panel``.
 
     The angle is the azimuth-plane angle between the reflected direction and
     the panel normal at the specular point, in [0, 90) degrees; elevation
@@ -590,9 +598,7 @@ def rx_link_geometry(scene: Scene, rx_index: int) -> tuple[float, bool, float, f
     panel, the panel center stands in, flagged non-specular, and the angle is
     the incidence of the Tx ray there.  specular_point is the strict check.
     """
-    if not scene.nirs_panels:
-        raise ValidationError("scene has no NIRS panel")
-    rect = scene.nirs_panels[0].rectangle
+    rect = nirs_panel(scene).rectangle
     try:
         point = specular_point(scene, rx_index)
         spec = True

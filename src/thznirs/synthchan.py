@@ -267,15 +267,11 @@ def synthesize_sweep(
             )
 
     freqs = frequency_grid(plan)
-    n_dir = grid.n_elevation * grid.n_azimuth
-    if paths:
-        amps = path_amplitudes(paths, freqs, scene.tx_pattern, scene.tx_boresight)
-        delays = np.array([p.delay_s for p in paths])
-        base = amps * np.exp(-2j * np.pi * freqs[None, :] * delays[:, None])  # (P, N)
-        gains = rx_gain_matrix(paths, grid, scene.rx_pattern)  # (D, P)
-        sweeps = (gains @ base).reshape(grid.n_elevation, grid.n_azimuth, -1)
-    else:
-        sweeps = np.zeros((grid.n_elevation, grid.n_azimuth, plan.point_count), dtype=complex)
+    amps = path_amplitudes(paths, freqs, scene.tx_pattern, scene.tx_boresight)
+    delays = np.array([p.delay_s for p in paths])
+    base = amps * np.exp(-2j * np.pi * freqs[None, :] * delays[:, None])  # (P, N)
+    gains = rx_gain_matrix(paths, grid, scene.rx_pattern)  # (D, P); with no path, all +0
+    sweeps = (gains @ base).reshape(grid.n_elevation, grid.n_azimuth, -1)
 
     manifest = BundleManifest(
         scenario_id=scenario_id,

@@ -8,19 +8,19 @@ panel plane.  They are what ``thznirs.synthchan`` and ``thznirs.scene``
 computed before their batched image tree and ``RectangleStack`` kernel;
 they are kept only so that the tests can require the batched code to return
 exactly (``==``) the same paths, sets and points.  They share
-``_build_path`` and the margins of the package.
+``_build_path``, the margins and the one-panel rule (``nirs_panel``) of the
+package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 
-from thznirs.errors import NoNirsPanelWarning, NoSpecularGeometryError, ValidationError
-from thznirs.scene import _PARALLEL_EPS, Rectangle, ScanGrid, Scene, Surface
+from thznirs.errors import NoSpecularGeometryError, ValidationError
+from thznirs.scene import _PARALLEL_EPS, Rectangle, ScanGrid, Scene, Surface, nirs_panel
 from thznirs.synthchan import _SEG_EPS, PropagationPath, _build_path
 
 
@@ -84,8 +84,8 @@ def intersect_segment(rect: Rectangle, p, q, lo: float = 0.0, hi: float = 1.0):
 
 
 def specular_point(scene: Scene, rx_index: int) -> np.ndarray:
-    """Specular reflection point of Tx -> panel 0 -> Rx on the panel rectangle."""
-    rect = scene.nirs_panels[0].rectangle
+    """Specular reflection point of Tx -> panel -> Rx on the panel rectangle."""
+    rect = nirs_panel(scene).rectangle
     tx = scene.tx_position
     rx = scene.rx_position(rx_index)
     side_tx = float(np.dot(tx - rect.origin, rect.normal))
@@ -183,12 +183,10 @@ def nirs_angle_set(
     scene: Scene, rx_index: int, grid: ScanGrid | None = None
 ) -> frozenset[tuple[int, int]]:
     """Scan-grid directions whose ray from the Rx hits an active sub-panel."""
+    nirs_panel(scene)
     grid = grid or scene.scan_grid
     rx = scene.rx_position(rx_index)
     rects = [s.rectangle for s in scene.surfaces()[len(scene.walls):]]
-    if not rects:
-        warnings.warn("scene has no active NIRS panel cell; angle set is empty", NoNirsPanelWarning)
-        return frozenset()
     hits = set()
     for i in range(grid.n_elevation):
         for j in range(grid.n_azimuth):

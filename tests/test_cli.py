@@ -14,6 +14,7 @@ from conftest import SCENES, SMALL_PLAN, SPOILED_BUNDLES, shipped_scene, write_c
 
 from thznirs import cli, reflfit
 from thznirs.cli import main
+from thznirs.errors import ValidationError
 from thznirs.pathloss import CiModel, directional_path_loss, omni_path_loss
 from thznirs.pdap import pdap_from_sweeps
 from thznirs.reflfit import ReflLossModel, additional_reflection_loss, generate_samples
@@ -23,9 +24,11 @@ from thznirs.scene import (
     ScanGrid,
     load_scene,
     nirs_angle_set,
+    nirs_panel,
     rx_link_geometry,
     save_scene,
     scene_to_dict,
+    specular_point,
 )
 from thznirs.synthchan import synthesize_sweep, write_sweep_csv
 
@@ -164,6 +167,18 @@ MALFORMED_SCENES = {
     "fractional_active_cell": (
         lambda d: d["nirs_panels"][0].update(active_cells=[[1.9, 0.2]]),
         "nirs_panels[0].active_cells[0][0] must be a JSON integer, got float",
+    ),
+    "one_entry_subdivision": (
+        lambda d: d["nirs_panels"][0].update(subdivision=[3]),
+        "panel: subdivision must be [rows, cols], each at least 1, got [3]",
+    ),
+    "one_entry_active_cell": (
+        lambda d: d["nirs_panels"][0].update(active_cells=[[1]]),
+        "panel: every active cell must be a [row, col] pair",
+    ),
+    "overflowing_plan_step": (
+        lambda d: d["frequency_plan"].update(f_step_hz=1e-300),
+        "frequency plan: span / f_step overflows to infinity",
     ),
     "bool_rx_gain": (
         lambda d: d["rx"]["pattern"].update(gain_dbi=True),
@@ -425,6 +440,36 @@ def test_pipeline_rejects_a_panel_with_no_active_cell_in_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {scene}: ") and proc.stderr.count("\n") == 1
     assert "no active cell" in proc.stderr
+    assert not out.exists()
+
+
+ONE_PANEL_RULE_BREAKS = {
+    "no_panel": lambda d: d["nirs_panels"].clear(),
+    "two_panels": lambda d: d["nirs_panels"].append(
+        dict(d["nirs_panels"][0], active_cells=[[0, 0]])),
+    "no_active_cell": lambda d: d["nirs_panels"][0].update(active_cells=[]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PANEL_RULE_BREAKS))
+def test_geometry_and_pipeline_fail_on_the_one_panel_rule(tmp_path, capsys, case):
+    data = json.loads(Path(SCENES, "hallway_mini.json").read_text())
+    ONE_PANEL_RULE_BREAKS[case](data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    scene = load_scene(path)
+    with pytest.raises(ValidationError) as rule:
+        nirs_panel(scene)
+    for query in (nirs_angle_set, specular_point, rx_link_geometry):
+        with pytest.raises(ValidationError) as exc:
+            query(scene, 0)
+        assert str(exc.value) == str(rule.value), query.__name__
+    out = tmp_path / "r.csv"
+    # the rule is checked before any bundle is read, so no bundle need exist
+    rc = main(["pipeline", "--scene", str(path), "--bundle", str(tmp_path / "none"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: pipeline {rule.value}\n"
     assert not out.exists()
 
 

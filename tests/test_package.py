@@ -1,5 +1,5 @@
-"""Package layout rules: no orphan module, and JSON and the noise sentinel each
-handled in one module only."""
+"""Package layout rules: no orphan module, and JSON, the noise sentinel and the
+choice of the NIRS panel each handled in one module only."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,15 @@ def test_only_pdap_names_the_noise_sentinel():
         or (isinstance(node, ast.alias) and node.name == "SENTINEL_DB")
     }
     assert sorted(u for u in uses if not u.startswith("pdap.py:")) == []
+
+
+def test_only_scene_takes_a_panel_out_of_the_scene():
+    """Every other module gets the reflector through ``scene.nirs_panel``, the one-panel rule."""
+    uses = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "nirs_panels"
+    }
+    assert sorted(u for u in uses if not u.startswith("scene.py:")) == []

@@ -6,11 +6,7 @@ import pytest
 import synthchan_oracle as oracle
 from conftest import SCENES, SMALL_PLAN, random_box_scenes, replace_panel, shipped_scene
 
-from thznirs.errors import (
-    NoNirsPanelWarning,
-    NoSpecularGeometryError,
-    ValidationError,
-)
+from thznirs.errors import NoSpecularGeometryError, ValidationError
 from thznirs.scene import (
     AntennaPattern,
     FrequencyPlan,
@@ -226,11 +222,10 @@ def test_angle_set_corridor_rx_point_1():
     assert azimuths == [140.0, 150.0, 160.0, 170.0]
 
 
-def test_angle_set_without_panels_warns():
+def test_angle_set_without_panels_raises():
     scene = shipped_scene("corridor_mini_no_nirs.json")
-    with pytest.warns(NoNirsPanelWarning):
-        found = nirs_angle_set(scene, 0)
-    assert found == frozenset()
+    with pytest.raises(ValidationError, match="exactly one NIRS panel"):
+        nirs_angle_set(scene, 0)
 
 
 def _hallway_mini_with_cells(cells):
@@ -265,9 +260,8 @@ def test_scene_surfaces_are_the_walls_then_the_active_cells_in_order():
 def test_scene_with_no_active_cell_has_no_panel_surface():
     scene = _hallway_mini_with_cells([])
     assert [s.surface_id for s in scene.surfaces()] == [f"wall{i}" for i in range(7)]
-    with pytest.warns(NoNirsPanelWarning):
-        found = nirs_angle_set(scene, 0)
-    assert found == frozenset()
+    with pytest.raises(ValidationError, match="no active cell"):
+        nirs_angle_set(scene, 0)
 
 
 def test_angle_set_frontal_panel_matches_tangent_oracle():
@@ -437,7 +431,7 @@ def test_reflection_angle_off_panel_raises_then_falls_back():
 
 def test_link_geometry_without_panel_raises():
     scene = shipped_scene("corridor_mini_no_nirs.json")
-    with pytest.raises(ValidationError, match="no NIRS panel"):
+    with pytest.raises(ValidationError, match="exactly one NIRS panel"):
         rx_link_geometry(scene, 0)
 
 
