@@ -9,7 +9,7 @@ and the link budget applies its own gains explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -41,7 +41,11 @@ def ci_path_loss(model: CiModel, f_hz: float, d_m: float) -> float:
     if d_m < 1.0:
         raise ValidationError(f"ci model: distance {d_m} m below the 1.0 m reference")
     fspl_ref = 20.0 * math.log10(4.0 * math.pi * f_hz / SPEED_OF_LIGHT)
-    return fspl_ref + 10.0 * model.ple * math.log10(d_m)
+    loss = fspl_ref + 10.0 * model.ple * math.log10(d_m)
+    if not math.isfinite(loss):
+        raise ValidationError(f"ci model: path-loss exponent {model.ple:g} overflows "
+                              f"the prediction at {d_m:g} m")
+    return loss
 
 
 def _linear_power_sum(pdap: Pdap, where=...) -> float:
@@ -114,5 +118,5 @@ def rx_path_loss(scene: Scene, rx_index: int, sweeps: np.ndarray, divisor, ci: C
 
 def write_pathloss_csv(rows: Iterable[RxPathLossRow], path) -> None:
     """The pipeline results file: one row per receiver, sorted by rx id."""
-    write_csv(path, "rx_id,pl_dir_db,pl_omni_db,reflection_angle_deg,d1_m,d2_m,l_ref_db",
+    write_csv(path, ",".join(f.name for f in fields(RxPathLossRow)),
               map(astuple, sorted(rows, key=lambda r: r.rx_id)))

@@ -43,6 +43,7 @@ REFINE_STAGES = 7
 _TIE_TOL = 1e-12
 _BLOCK_ELEMS = 1 << 16  # (samples, rows, k) elements per array op: temporaries stay in cache
 _BOUND_RTOL = 1e-9  # rounding margin of the phi_bar cut, relative to the losses' scale
+_SQUARES_MAX = math.nextafter(2.0 ** 1020, 0.0)  # largest sum(y^2) fitted; _window says why
 
 
 @dataclass(frozen=True)
@@ -246,18 +247,12 @@ def _bound_terms(angles: np.ndarray, losses: np.ndarray, b: np.ndarray,
     norm of the residual vector of y on {1, x(b1), e} after Gram-Schmidt,
     with e orthogonalised twice.  A point whose basis vectors keep less than
     1e-4 of their norm there, where rounding could move rho3 by more than
-    _cut's margin, gets rho3 = 0, which is never cut.  So do all points
-    unless sum(y^2) < 2^1000: below that neither this arithmetic nor the
-    kernel's sums of squared residuals (at most sum(y^2) for any clamped
-    fit) can overflow, so no cut point hides an overflow that the full
-    scan would raise.  Columns go in blocks of about _BLOCK_ELEMS / 4
-    elements."""
+    _cut's margin, gets rho3 = 0, which is never cut.  Columns go in blocks
+    of about _BLOCK_ELEMS / 4 elements."""
     n, k = angles.shape[0], grid.shape[0]
     b1, b2 = float(b.min()), float(b.max())
     terms = np.zeros((4, k))
     with np.errstate(all="ignore"):
-        if not np.sum(losses * losses) < 2.0 ** 1000:
-            return terms
         yc = (losses - np.mean(losses))[:, None]
         cols = max(1, _BLOCK_ELEMS // (4 * n))
         for s in range(0, k, cols):
@@ -425,30 +420,18 @@ def _window(samples: Iterable[ReflSample]) -> tuple:
     argmin_angle = float(angles[int(np.argmin(losses))])
     lo = max(float(angles[0]), argmin_angle - gap)
     hi = min(float(angles[-1]), argmin_angle + gap)
+
+    # The search is finite if sum(y^2) < 2^1020 (an overflowed sum, inf, fails):
+    # every fit the kernel can pick (unclamped least squares, (0, mean y),
+    # (max(mxy / mxx, 0), 0)) has a residual sum of squares <= sum(y^2);
+    # x = u^b <= 90^2, so x y stays far below the float64 limit; the bound's
+    # sums are linear in y or bounded by sum(y^2); and the factor of 16 below
+    # float64's largest value covers rounding.
+    with np.errstate(over="ignore"):
+        if not np.sum(losses * losses) <= _SQUARES_MAX:
+            raise ValidationError(f"fit: losses up to {float(np.max(np.abs(losses))):.3g} dB "
+                                  "overflow float64 in the least-squares search")
     return angles, losses, lo, hi
-
-
-def _fit_windows(windows: list[tuple]) -> list:
-    """FitResult per window, or a ValidationError for losses that overflow."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            found = _refined_search(windows)
-    except FloatingPointError:
-        if len(windows) > 1:  # one at a time, so that only the windows that overflow fail
-            return [fit for w in windows for fit in _fit_windows([w])]
-        return [ValidationError(
-            f"fit: losses up to {float(np.max(np.abs(windows[0][1]))):.3g} dB overflow "
-            "float64 in the least-squares search"
-        )]
-    return [
-        FitResult(
-            model=ReflLossModel(phi_bar_deg=phi, a=a, b=b, c=c),
-            rmse_db=rmse,
-            b_identifiable=a > 0,
-            n_samples=w[0].shape[0],
-        )
-        for w, (b, phi, a, c, rmse) in zip(windows, found)
-    ]
 
 
 def fit_refl_models(groups: Iterable[Iterable[ReflSample]]) -> list[FitResult | ValidationError]:
@@ -465,16 +448,19 @@ def fit_refl_models(groups: Iterable[Iterable[ReflSample]]) -> list[FitResult | 
             results.append(None)
         except ValidationError as exc:
             results.append(exc)
-    for g, fit in zip(windows, _fit_windows(list(windows.values()))):
-        results[g] = fit
+    with np.errstate(over="raise", invalid="raise"):  # _window's rule keeps this finite
+        found = _refined_search(list(windows.values()))
+    for (g, w), (b, phi, a, c, rmse) in zip(windows.items(), found):
+        model = ReflLossModel(phi_bar_deg=phi, a=a, b=b, c=c)
+        results[g] = FitResult(model, rmse_db=rmse, b_identifiable=a > 0, n_samples=w[0].shape[0])
     return results
 
 
 def fit_refl_model(samples: Iterable[ReflSample]) -> FitResult:
     """Fit the polynomial law to the samples.
 
-    Needs at least 4 samples over at least 3 distinct angles, with losses
-    small enough that the search's squares and products stay finite in
+    Needs at least 4 samples over at least 3 distinct angles, with a sum of
+    squared losses below 2^1020, so that the search stays finite in
     float64.  Deterministic: samples are sorted internally, grids are fixed,
     ties break toward the smallest b then the smallest phi_bar.
     """
@@ -494,7 +480,8 @@ def generate_samples(
     """Samples drawn from the model, optionally with Gaussian dB noise."""
     if not (math.isfinite(noise_sigma_db) and noise_sigma_db >= 0):
         raise ValidationError(f"noise sigma must be finite and >= 0 dB, got {noise_sigma_db}")
-    values = eval_refl_model(model, np.asarray(angles_deg, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # each ReflSample rejects a non-finite loss
+        values = eval_refl_model(model, np.asarray(angles_deg, dtype=float))
     if noise_sigma_db > 0:
         if rng is None:
             rng = np.random.default_rng(0)

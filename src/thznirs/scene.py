@@ -68,6 +68,8 @@ class FrequencyPlan:
     f_step_hz: float
 
     def __post_init__(self):
+        if not (self.f_start_hz > 0):
+            raise ValidationError("frequency plan: f_start must be positive")
         if not (self.f_stop_hz > self.f_start_hz):
             raise ValidationError("frequency plan: f_stop must exceed f_start")
         if not (self.f_step_hz > 0):
@@ -79,8 +81,11 @@ class FrequencyPlan:
             raise ValidationError(
                 "frequency plan: span must be an integer multiple of f_step"
             )
-        if round(ratio) + 1 < 2:
+        points = round(ratio) + 1
+        if points < 2:
             raise ValidationError("frequency plan: needs at least 2 points")
+        if points > np.iinfo(np.intp).max // 16:  # numpy's limit on a complex128 array's bytes
+            raise ValidationError(f"frequency plan: {points:.3g} points do not fit in one complex128 array")
 
     @property
     def point_count(self) -> int:
@@ -491,6 +496,9 @@ class Scene:
         if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
             raise ValidationError("scene: rx positions must be an (n, 3) array, n >= 1")
         object.__setattr__(self, "rx_positions", _readonly([_vec3(p, "rx position") for p in rx]))
+        at_tx = np.flatnonzero(np.all(self.rx_positions == self.tx_position, axis=1))
+        if at_tx.size:  # the line-of-sight path would have zero length and no direction
+            raise ValidationError(f"scene: rx {at_tx[0]} is at the tx position")
         surfaces = [Surface(f"wall{i}", w.rectangle, w.material_loss) for i, w in enumerate(self.walls)]
         for k, panel in enumerate(self.nirs_panels):
             rect, (rows, cols) = panel.rectangle, panel.subdivision

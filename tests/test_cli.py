@@ -180,6 +180,22 @@ MALFORMED_SCENES = {
         lambda d: d["frequency_plan"].update(f_step_hz=1e-300),
         "frequency plan: span / f_step overflows to infinity",
     ),
+    "plan_beyond_one_array": (  # numpy refuses this size before it allocates anything
+        lambda d: d["frequency_plan"].update(f_step_hz=1e-290),
+        "frequency plan: 2.5e+298 points do not fit in one complex128 array",
+    ),
+    "plan_starting_at_zero": (
+        lambda d: d["frequency_plan"].update(f_start_hz=0),
+        "frequency plan: f_start must be positive",
+    ),
+    "plan_starting_below_zero": (
+        lambda d: d["frequency_plan"].update(f_start_hz=-1e9),
+        "frequency plan: f_start must be positive",
+    ),
+    "rx_at_the_tx": (
+        lambda d: d["rx"]["positions"].__setitem__(0, d["tx"]["position"]),
+        "scene: rx 0 is at the tx position",
+    ),
     "bool_rx_gain": (
         lambda d: d["rx"]["pattern"].update(gain_dbi=True),
         "rx.pattern.gain_dbi must be a JSON number, got bool",
@@ -727,6 +743,20 @@ def test_pipeline_power_sum_overflow_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_pipeline_ci_prediction_overflow_exits_2(tmp_path, capsys):
+    out = tmp_path / "bundles"
+    assert main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out),
+                 "--max-bounces", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(out),
+               "--ple", "1e308", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: rx 0: ci model: path-loss exponent 1e+308 overflows the prediction")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_pipeline_applies_calibration(tmp_path, mini_scene_file, small_plan):
     out = tmp_path / "bundles"
     main(["synth", "--scene", str(mini_scene_file), "--out", str(out)])
@@ -910,6 +940,15 @@ def test_fit_rejects_angle_outside_domain(tmp_path, capsys, angle):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "[0, 90]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator", ["s,b,10,1e308,2,1e308", "s,b,1e308,0,2,1"])
+def test_fit_generator_whose_losses_are_not_finite_exits_2_in_one_line(tmp_path, capsys, generator):
+    out = tmp_path / "t.csv"
+    rc = main(["fit", "--generate", generator, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: reflection sample: additional loss must be finite\n"
     assert not out.exists()
 
 

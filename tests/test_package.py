@@ -1,5 +1,6 @@
-"""Package layout rules: no orphan module, and JSON, the noise sentinel and the
-choice of the NIRS panel each handled in one module only."""
+"""Package layout rules: no orphan module; JSON, the noise sentinel and the
+choice of the NIRS panel each handled in one module only; and no float64
+overflow caught after the fact."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,17 @@ def test_only_scene_takes_a_panel_out_of_the_scene():
         and node.value.attr == "nirs_panels"
     }
     assert sorted(u for u in uses if not u.startswith("scene.py:")) == []
+
+
+def test_no_module_catches_a_floating_point_error():
+    """Overflow is a rule on the input (``reflfit._window``), checked before the
+    search; a FloatingPointError that gets past a rule is an internal fault."""
+    catches = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "FloatingPointError"
+                for n in ast.walk(node.type))
+    }
+    assert sorted(catches) == []

@@ -371,11 +371,54 @@ def test_cut_changes_no_fit(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e149, 1e150])
 def test_losses_near_float64_overflow_still_fit(scale):
-    # sum(y^2) is 1.5e300, where the bound runs, and 1.5e302, where it keeps
-    # every point; 1e200 still overflows the search itself
+    # sum(y^2) is 1.5e299 and 1.5e301, below _window's 2^1020 rule, so the
+    # bound runs on both; 1e200 fails the rule
     # (test_lockstep_gives_each_bad_group_its_own_error)
     near = [ReflSample(k, a, scale * (1.0 + 0.1 * k)) for k, a in enumerate(EIGHT_ANGLES)]
     assert fit_refl_model(near) == reflfit_oracle.fit_refl_model(near)
+
+
+@pytest.mark.parametrize("design", [[5.0, 25.0, 45.0, 65.0], EIGHT_ANGLES, TWENTY_FOUR_ANGLES,
+                                    DENSE_ANGLES], ids=len)
+def test_losses_just_below_the_overflow_rule_fit_as_the_oracle(design):
+    # sum(y^2) = 0.99 * 2^1020: fit_refl_model's search raises FloatingPointError on overflow
+    gen = TABLE_ROWS[("hallway", "306-321GHz")]
+    noisy = generate_samples(gen, design, noise_sigma_db=3.0, rng=np.random.default_rng(29))
+    y = np.array([s.additional_loss_db for s in noisy])
+    scale = math.sqrt(0.99 * 2.0 ** 1020 / np.sum(y * y))
+    near = [ReflSample(s.rx_id, s.reflection_angle_deg, scale * v) for s, v in zip(noisy, y)]
+    assert np.sum((scale * y) ** 2) < 2.0 ** 1020
+    assert fit_refl_model(near) == reflfit_oracle.fit_refl_model(near)
+
+
+def _power_of_two_losses(log2_sum_squares):
+    """Seven samples whose sum(y^2) is exactly 2^log2_sum_squares (even)."""
+    half = log2_sum_squares // 2
+    losses = [2.0 ** (half - 1)] * 2 + [2.0 ** (half - 2)] * 4 + [2.0 ** (half - 1)]
+    assert math.fsum(v * v for v in losses) == 2.0 ** log2_sum_squares
+    return [ReflSample(k, a, v) for k, (a, v) in enumerate(zip(EIGHT_ANGLES, losses))]
+
+
+@pytest.mark.parametrize("log2_sum_squares", [1020, 1022])
+def test_losses_at_the_overflow_rule_fail_alone_and_among_good_groups(log2_sum_squares):
+    bad = _power_of_two_losses(log2_sum_squares)
+    message = (f"fit: losses up to {2.0 ** (log2_sum_squares // 2 - 1):.3g} dB overflow "
+               "float64 in the least-squares search")
+    with pytest.raises(ValidationError) as single:
+        fit_refl_model(bad)
+    assert str(single.value) == message
+    good = _lockstep_groups()[:2]
+    fits = reflfit.fit_refl_models([good[0], bad, good[1]])
+    assert isinstance(fits[1], ValidationError) and str(fits[1]) == message
+    assert fits[0::2] == [fit_refl_model(g) for g in good]
+
+
+def test_search_overflow_is_not_caught(monkeypatch):
+    # without _window's rule, the search's own errstate raises: never an inf fit
+    monkeypatch.setattr(reflfit, "_SQUARES_MAX", math.inf)
+    huge = [ReflSample(k, a, 1e200 * (k + 1)) for k, a in enumerate(EIGHT_ANGLES)]
+    with pytest.raises(FloatingPointError):
+        reflfit.fit_refl_models([_lockstep_groups()[0], huge])
 
 
 def test_fit_errors():
