@@ -12,8 +12,8 @@ import argparse
 import csv
 import math
 import os
+import pickle
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 # before numpy loads: the CLI's small products cost less than a BLAS thread hand-off
@@ -177,41 +177,72 @@ def _read_samples_csv(path: str, scenario: str | None, band: str | None):
     return groups
 
 
-def _fit_batch(groups: list) -> list:
-    """One worker's groups.  The pool pickles its function by name, so it is
-    this module's function, which looks up ``reflfit.fit_refl_models`` as it runs."""
-    from . import reflfit
+def _fork_map(func, batches: list) -> list:
+    """[func(batch) for batch in batches], each batch in its own child.
 
-    return reflfit.fit_refl_models(groups)
-
-
-@contextmanager
-def _worker_map(workers: int):
-    """Yield an ordered ``map`` that runs on ``workers`` processes.
-
-    With more than one worker it runs on fork-started processes, which
-    inherit the imported modules and so start in milliseconds (a spawned
-    worker would import numpy afresh, costing more than a fit). Forking is
-    safe here: the CLI starts no threads, and OpenBLAS stops its own around
-    ``fork``. Otherwise, or where ``fork`` is missing, it is the builtin
-    ``map`` in this process.  ``fit`` maps one batch per worker, so no task
-    is ever pending when the pool shuts down.
+    With two or more batches, each runs in a process forked from this one,
+    which inherits the imported modules and so starts in milliseconds (a
+    spawned one would import numpy afresh, costing more than a fit).
+    Forking is safe here: the CLI starts no threads, and OpenBLAS stops its
+    own around ``fork``.  A child pickles its result, or its exception,
+    into a pipe and exits; this process reads every pipe to its end, waits
+    for every child, also on failure, and raises the first batch's
+    exception.  A child that exits without sending is an internal fault.
+    One batch, or a platform without ``fork``, runs in this process.
     """
-    if workers > 1:
-        import concurrent.futures
-        import multiprocessing
+    if len(batches) < 2 or not hasattr(os, "fork"):
+        return list(map(func, batches))
+    pids, pipes = [], []
+    try:
+        for batch in batches:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_and_exit(write, func, batch, pipes)
+            finally:
+                os.close(write)  # only the child writes: its exit ends the pipe
+            pids.append(pid)
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()  # a child still writing gets EPIPE and exits
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = []
+    for data, code in zip(sent, codes):
+        if not data:
+            raise RuntimeError(f"a fit worker exited with code {code} before sending its fits")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                yield pool.map
-            return
-    yield map
+
+def _send_and_exit(write: int, func, batch, inherited: list) -> None:
+    """In a forked child: pickle (True, func(batch)), or (False, its
+    exception), into the pipe, then exit without returning to the caller.
+    It first closes the read ends it inherited, so that each pipe breaks
+    as soon as the parent closes it."""
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        try:
+            sent = (True, func(batch))
+        except Exception as exc:
+            sent = (False, exc)
+        data = pickle.dumps(sent)  # whole before the pipe sees a byte
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _cmd_fit(args) -> int:
-    from .reflfit import ReflLossModel, generate_samples, write_fit_table_csv
+    from .reflfit import ReflLossModel, fit_refl_models, generate_samples, write_fit_table_csv
 
     if bool(args.samples) == bool(args.generate):
         raise ValidationError("fit needs exactly one of --samples or --generate")
@@ -259,10 +290,9 @@ def _cmd_fit(args) -> int:
     workers = min(_worker_count(), len(keys))
     batches = [keys[w::workers] for w in range(workers)]  # round-robin: similar work per worker
     fits = {}
-    with _worker_map(workers) as map_batches:
-        results = map_batches(_fit_batch, [[groups[key] for key in batch] for batch in batches])
-        for batch, batch_fits in zip(batches, results):
-            fits.update(zip(batch, batch_fits))
+    results = _fork_map(fit_refl_models, [[groups[key] for key in batch] for batch in batches])
+    for batch, batch_fits in zip(batches, results):
+        fits.update(zip(batch, batch_fits))
     entries = []
     for scenario, band in keys:
         fit = fits[scenario, band]

@@ -18,7 +18,11 @@ the stage at once: u^b is convex in b, and a >= 0 is bounded by the fit's own
 residuals (a branch-and-bound cut, with (a, c) profiled out as in variable
 projection).  A point is skipped only if no exponent's fit there can come
 within the 1e-12 tie tolerance of the best, so the fits are the same bit for
-bit as those of the full scan.
+bit as those of the full scan.  A bound proved for a range of b holds on any
+subrange, so each window keeps its terms from stage to stage and recomputes
+them only at the points they leave.  The coarse b grid, too wide a range to
+cut, scans every point, and groups with the same angles and phi_bar window
+share its design u^b.
 """
 
 from __future__ import annotations
@@ -170,29 +174,38 @@ def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: 
     smallest phi_bar (the first grid point).  Each row's result depends on
     that row's inputs alone.
 
+    Shared angles may come with losses (n, L): L loss sets fitted on one
+    design, each as if alone, and the result is (L, 4, m).  x = u^b and its
+    means are formed once per block, then the loss-dependent rest once per
+    set.
+
     Rows are evaluated in blocks of about _BLOCK_ELEMS (sample, row, grid
     point) elements, sample-major, so that every array op and every mean
     over the samples runs over contiguous (row, grid point) slices.  The
     temporaries live in buffers allocated once per call.
     """
     m, k, n = b.shape[0], grid.shape[-1], angles.shape[0]
-    # shared samples as a zero-stride (n, m) view: each row reads its own column
-    angles, losses = (np.broadcast_to(v.reshape(n, -1), (n, m)) for v in (angles, losses))
-    my = _mean(losses, np.empty(m), np.empty((n, m)))[:, None]
+    sets = losses.ndim > angles.ndim
+    # shared samples as zero-stride views: each row reads its own column
+    angles = np.broadcast_to(angles.reshape(n, -1), (n, m))
+    losses = losses.reshape(n, 1, -1) if sets else losses.reshape(n, -1, 1)
+    n_sets = losses.shape[2]
+    losses = np.broadcast_to(losses, (n, m, n_sets))  # (n, m, L)
+    my = _mean(losses, np.empty((m, n_sets)), np.empty((n, m, n_sets)))
     rows = min(m, max(1, _BLOCK_ELEMS // (k * n)))
     if grid.ndim == 1:
         dist = np.abs(angles[:, :1] - grid)[:, None, :]  # (n, 1, k), once per call
     x_buf, t_buf = np.empty((2, n, rows, k))
     small = np.empty((9, rows, k))  # mx, mxx, mxy, var, cov, a, c, a at c = 0, rmse
     mask_buf, neg_buf = np.empty((2, rows, k), dtype=bool)
-    out = np.empty((4, m))
+    out = np.empty((n_sets, 4, m))
     for s in range(0, m, rows):
         e = min(m, s + rows)
         r = e - s
         x, t = x_buf[:, :r], t_buf[:, :r]
         mx, mxx, mxy, var, cov, a, c, az, rmse = small[:, :r]
         mask, neg = mask_buf[:r], neg_buf[:r]
-        be, y, my_r = b[None, s:e, None], losses[:, s:e, None], my[s:e]
+        be = b[None, s:e, None]
         if grid.ndim == 1:
             np.power(dist, be, out=x)
         else:
@@ -200,33 +213,35 @@ def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: 
             np.power(np.abs(x, out=x), be, out=x)
         _mean(x, mx, t)
         _mean(np.multiply(x, x, out=t), mxx, t)
-        _mean(np.multiply(x, y, out=t), mxy, t)
         np.subtract(mxx, np.multiply(mx, mx, out=var), out=var)
-        np.subtract(mxy, np.multiply(mx, my_r, out=cov), out=cov)
+        for v in range(n_sets):
+            y, my_r = losses[:, s:e, v, None], my[s:e, v, None]
+            _mean(np.multiply(x, y, out=t), mxy, t)
+            np.subtract(mxy, np.multiply(mx, my_r, out=cov), out=cov)
 
-        # a = cov / var (0 where var <= 0) and c = my - a mx; a < 0 clamps
-        # to (0, my); c < 0 re-solves with c = 0, a = max(mxy / mxx, 0)
-        a.fill(0.0)
-        np.divide(cov, var, out=a, where=np.greater(var, 0.0, out=mask))
-        np.subtract(my_r, np.multiply(a, mx, out=c), out=c)
-        np.less(a, 0.0, out=neg)
-        np.copyto(a, 0.0, where=neg)
-        np.copyto(c, my_r, where=neg)
-        az.fill(0.0)
-        np.divide(mxy, mxx, out=az, where=np.greater(mxx, 0.0, out=mask))
-        np.maximum(az, 0.0, out=az)
-        np.less(c, 0.0, out=neg)
-        np.copyto(a, az, where=neg)
-        np.copyto(c, 0.0, where=neg)
+            # a = cov / var (0 where var <= 0) and c = my - a mx; a < 0 clamps
+            # to (0, my); c < 0 re-solves with c = 0, a = max(mxy / mxx, 0)
+            a.fill(0.0)
+            np.divide(cov, var, out=a, where=np.greater(var, 0.0, out=mask))
+            np.subtract(my_r, np.multiply(a, mx, out=c), out=c)
+            np.less(a, 0.0, out=neg)
+            np.copyto(a, 0.0, where=neg)
+            np.copyto(c, my_r, where=neg)
+            az.fill(0.0)
+            np.divide(mxy, mxx, out=az, where=np.greater(mxx, 0.0, out=mask))
+            np.maximum(az, 0.0, out=az)
+            np.less(c, 0.0, out=neg)
+            np.copyto(a, az, where=neg)
+            np.copyto(c, 0.0, where=neg)
 
-        np.subtract(y, np.multiply(a, x, out=t), out=t)
-        np.subtract(t, c, out=t)
-        np.sqrt(_mean(np.multiply(t, t, out=t), rmse, t), out=rmse)
-        j = np.argmax(rmse <= rmse.min(axis=-1, keepdims=True) + _TIE_TOL, axis=-1)
-        i = np.arange(r)
-        phi = grid[j] if grid.ndim == 1 else grid[s + i, j]
-        out[:, s:e] = rmse[i, j], phi, a[i, j], c[i, j]
-    return out
+            np.subtract(y, np.multiply(a, x, out=t), out=t)
+            np.subtract(t, c, out=t)
+            np.sqrt(_mean(np.multiply(t, t, out=t), rmse, t), out=rmse)
+            j = np.argmax(rmse <= rmse.min(axis=-1, keepdims=True) + _TIE_TOL, axis=-1)
+            i = np.arange(r)
+            phi = grid[j] if grid.ndim == 1 else grid[s + i, j]
+            out[v, :, s:e] = rmse[i, j], phi, a[i, j], c[i, j]
+    return out if sets else out[0]
 
 
 def _coarse_grid(lo: float, hi: float) -> np.ndarray:
@@ -315,38 +330,80 @@ def _cut(terms: np.ndarray, losses: np.ndarray, r_max: float) -> np.ndarray:
         return (den > 0.0) & ((rho3 - a_max * g) / math.sqrt(n) - margin > r_max)
 
 
+@dataclass
+class _Kept:
+    """A window's bound terms over its coarse grid, kept from one b
+    refinement stage to the next; they hold for every exponent in [b1, b2]."""
+
+    b1: float = math.inf
+    b2: float = -math.inf
+    terms: np.ndarray | None = None
+
+
 def _phi_conditional(tasks: list[tuple]) -> list[np.ndarray]:
     """Optimal phi_bar for each exponent of each task (angles, losses, lo,
-    hi, b): a coarse 0.01 deg grid over the task's [lo, hi] window, then
-    local grid refinement down to ~1e-9 deg.  Returns per task the
+    hi, b, bound): a coarse 0.01 deg grid over the task's [lo, hi] window,
+    then local grid refinement down to ~1e-9 deg.  Returns per task the
     (4, len(b)) rows (rmse, phi, a, c).
 
-    The coarse scan skips each grid point where _cut proves that every
-    exponent's rmse exceeds r_max, the largest over the task's rows of the
-    rmse at the point of least rho3, plus _TIE_TOL: no such point can win or
-    tie, and the kernel's rmse at a point does not depend on the other
-    points scanned, so the result is the same bit for bit.  The rows of all
-    tasks with the same sample count share one kernel call for r_max and
-    one per refinement stage."""
+    bound is None on the coarse b grid, a range too wide for the cut to skip
+    anything: each task scans its whole grid, and tasks with bit-equal
+    (angles, lo, hi, b) share one kernel call, so one design.
+
+    In the b refinement bound is (b1, b2, kept): the stage's span, which
+    holds b, and the window's _Kept, which this call updates.  The coarse
+    scan skips each grid point where _cut proves that every exponent's rmse
+    exceeds r_max, the largest over the task's rows of the rmse at the kept
+    point of least rho3, plus _TIE_TOL: no such point can win or tie, and
+    the kernel's rmse at a point does not depend on the other points
+    scanned, so the result is the same bit for bit.  A bound over a range
+    holds on its subranges, so a span inside kept's range first cuts with
+    the kept terms, then recomputes them for its own span at the points left
+    and cuts again; any other span recomputes them at every point.
+
+    The rows of all tasks with the same sample count share one kernel call
+    for r_max and one per refinement stage."""
     best = [None] * len(tasks)
     by_count: dict[int, list[int]] = {}
     for t, task in enumerate(tasks):
         by_count.setdefault(task[0].shape[0], []).append(t)
     for members in by_count.values():
-        angles, losses, lo, hi, b = zip(*(tasks[t] for t in members))
+        angles, losses, lo, hi, b, bound = zip(*(tasks[t] for t in members))
         sizes = [len(bt) for bt in b]
         grids = [_coarse_grid(*w) for w in zip(lo, hi)]
-        terms = [_bound_terms(*task, grid) for task, grid in zip(zip(angles, losses, b), grids)]
         task_of_row = np.repeat(np.arange(len(members)), sizes)
         rows_of = np.cumsum(sizes)[:-1]
         a_rows = np.stack(angles, axis=1)[:, task_of_row]  # (n, rows): one column per row
         y_rows = np.stack(losses, axis=1)[:, task_of_row]
         b_rows = np.concatenate(b)
-        phi0 = np.array([g[np.argmin(tm[0])] for g, tm in zip(grids, terms)])[task_of_row, None]
-        r0 = np.split(_best_over_phi(a_rows, y_rows, b_rows, phi0)[0], rows_of)
-        for i, t in enumerate(members):
-            cut = _cut(terms[i], losses[i], float(np.max(r0[i])) + _TIE_TOL)
-            best[t] = _best_over_phi(angles[i], losses[i], b[i], grids[i][~cut])
+        if bound[0] is None:
+            designs: dict[bytes, list[int]] = {}  # tasks by their bits of (angles, lo, hi, b)
+            for i, (at, lt, ht, bt) in enumerate(zip(angles, lo, hi, b)):
+                designs.setdefault(np.concatenate([at, [lt, ht], bt]).tobytes(), []).append(i)
+            for shared in designs.values():
+                i = shared[0]
+                found = _best_over_phi(angles[i], np.stack([losses[j] for j in shared], axis=1),
+                                       b[i], grids[i])
+                for j, rows in zip(shared, found):
+                    best[members[j]] = rows
+        else:
+            reuse = [kp.b1 <= b1 and b2 <= kp.b2 for b1, b2, kp in bound]
+            for i, (b1, b2, kp) in enumerate(bound):
+                if not reuse[i]:
+                    kp.b1, kp.b2 = b1, b2
+                    kp.terms = _bound_terms(angles[i], losses[i], np.array([b1, b2]), grids[i])
+            phi0 = np.array([g[np.argmin(kp.terms[0])] for g, (*_, kp) in zip(grids, bound)])
+            r0 = np.split(_best_over_phi(a_rows, y_rows, b_rows, phi0[task_of_row, None])[0],
+                          rows_of)
+            for i, (t, (b1, b2, kp)) in enumerate(zip(members, bound)):
+                r_max = float(np.max(r0[i])) + _TIE_TOL
+                cut = _cut(kp.terms, losses[i], r_max)
+                if reuse[i]:
+                    kp.b1, kp.b2 = b1, b2
+                    kp.terms[:, ~cut] = _bound_terms(angles[i], losses[i], np.array([b1, b2]),
+                                                     grids[i][~cut])
+                    cut = _cut(kp.terms, losses[i], r_max)
+                best[t] = _best_over_phi(angles[i], losses[i], b[i], grids[i][~cut])
 
         lo, hi = np.array(lo)[task_of_row, None], np.array(hi)[task_of_row, None]
         cur = np.concatenate([best[t] for t in members], axis=1)
@@ -379,22 +436,24 @@ def _refined_search(windows: list[tuple]) -> list[tuple]:
     it as the best, which only falls, so it would be rejected again."""
     n_b = int(round((B_GRID_STOP - B_GRID_START) / B_GRID_STEP)) + 1
     b_grid = B_GRID_START + B_GRID_STEP * np.arange(n_b)
-    rows = _phi_conditional([(*w, b_grid) for w in windows])
+    rows = _phi_conditional([(*w, b_grid, None) for w in windows])
     best = [_pick(b_grid, r) for r in rows]
     refine = [w for w, found in enumerate(best) if found[2] > 0]
     fitted = {w: set(b_grid.tolist()) for w in refine}
+    kept = {w: _Kept() for w in refine}
     step_b = B_GRID_STEP
     for _ in range(REFINE_STAGES):
         stage = []
         for w in refine:
             rb = np.clip(np.linspace(best[w][0] - step_b, best[w][0] + step_b, 21),
                          B_GRID_START, B_GRID_STOP)  # ascending: a clipped end repeats
+            span = (float(rb[0]), float(rb[-1]))
             rb = rb[(np.diff(rb, prepend=-np.inf) > 0) & [b not in fitted[w] for b in rb.tolist()]]
             fitted[w].update(rb.tolist())
             if rb.size:
-                stage.append((w, rb))
-        rows = _phi_conditional([(*windows[w], rb) for w, rb in stage])
-        for (w, rb), r in zip(stage, rows):
+                stage.append((w, rb, (*span, kept[w])))
+        rows = _phi_conditional([(*windows[w], rb, bound) for w, rb, bound in stage])
+        for (w, rb, _), r in zip(stage, rows):
             best[w] = _pick(rb, r, best[w])
         step_b /= 10.0
     return best
@@ -436,10 +495,11 @@ def _window(samples: Iterable[ReflSample]) -> tuple:
 
 def fit_refl_models(groups: Iterable[Iterable[ReflSample]]) -> list[FitResult | ValidationError]:
     """fit_refl_model of each group, run together: the phi_bar refinement of
-    all groups with the same sample count shares its kernel calls, which
-    changes no bit of any fit.  Returns per group its FitResult, or the
-    ValidationError that fit_refl_model would raise for it; the other groups
-    still fit."""
+    all groups with the same sample count shares its kernel calls, and
+    groups with bit-equal angles and phi_bar window share the coarse scan's
+    design, which changes no bit of any fit.  Returns per group its
+    FitResult, or the ValidationError that fit_refl_model would raise for
+    it; the other groups still fit."""
     results: list = []
     windows: dict[int, tuple] = {}
     for g, samples in enumerate(groups):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -1493,12 +1494,10 @@ def test_fit_worker_fault_is_reraised_and_exits_1(tmp_path, capsys, monkeypatch)
 
 
 def test_one_group_fit_starts_no_pool(tmp_path, monkeypatch):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a one-group fit forked a worker")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-group fit started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(cli, "_worker_count", lambda: 4)
     samples = _write_fit_batch(tmp_path / "s.csv", n_groups=1)
     assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")]) == 0
@@ -1506,6 +1505,60 @@ def test_one_group_fit_starts_no_pool(tmp_path, monkeypatch):
         "fit", "--generate", "hallway,306-321GHz,15.79,3.52,0.59,1.51",
         "--noise-sigma", "0.5", "--out", str(tmp_path / "g.csv"),
     ]) == 0
+
+
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_fit_worker_failure_leaves_no_child(tmp_path, capsys, monkeypatch, how):
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=6)
+
+    def fails(groups):
+        if how == "dies":
+            os._exit(3)
+        raise ZeroDivisionError("fault")
+
+    monkeypatch.setattr(reflfit, "fit_refl_models", fails)
+    assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: internal: ")
+    with pytest.raises(ChildProcessError):  # every worker was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_returns_results_larger_than_a_pipe_buffer():
+    def big(batch):  # 4 MiB a batch: the child blocks on its pipe until it is read
+        return [bytes([value]) * (1 << 22) for value in batch]
+
+    def deadlocked(*_):  # raised in the parent, whose cleanup then ends its children
+        raise TimeoutError("fork map still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        batches = [[1], [2, 3], [4]]
+        assert cli._fork_map(big, batches) == [big(batch) for batch in batches]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_multi_group_fit_loads_no_pool_machinery(tmp_path):
+    samples = _write_fit_batch(tmp_path / "s.csv", n_groups=4)
+    code = (
+        "import os, sys, thznirs.cli as cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: (forks.append(1), fork())[1]\n"
+        "cli._worker_count = lambda: 2\n"
+        f"assert cli.main(['fit', '--samples', {str(samples)!r}, "
+        f"'--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "print(len(forks), [m for m in ('multiprocessing', 'concurrent.futures')\n"
+        "                   if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2 []"
 
 
 def test_cli_import_loads_no_pool_machinery():

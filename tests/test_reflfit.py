@@ -240,7 +240,7 @@ def test_no_window_fits_the_same_exponent_twice(monkeypatch):
     conditional = reflfit._phi_conditional
 
     def recording(tasks):
-        for angles, _, _, _, b in tasks:
+        for angles, _, _, _, b, _ in tasks:
             exponents.setdefault(id(angles), []).extend(b.tolist())
         return conditional(tasks)
 
@@ -367,6 +367,107 @@ def test_cut_changes_no_fit(monkeypatch):
     monkeypatch.setattr(reflfit, "_bound_terms", lambda angles, losses, b, grid: np.zeros((4, grid.size)))
     assert pruned == reflfit.fit_refl_models(sets)
     assert all(fit.b_identifiable for fit in pruned)  # every set ran the b refinement
+
+
+def _bound_calls(monkeypatch):
+    """(b1, b2, sample count, grid size) of every _bound_terms call."""
+    calls = []
+    terms = reflfit._bound_terms
+
+    def recording(angles, losses, b, grid):
+        calls.append((float(b.min()), float(b.max()), angles.size, grid.size))
+        return terms(angles, losses, b, grid)
+
+    monkeypatch.setattr(reflfit, "_bound_terms", recording)
+    return calls
+
+
+def test_no_bound_covers_the_coarse_b_grid(monkeypatch):
+    calls = _bound_calls(monkeypatch)
+    groups = _lockstep_groups()
+    assert reflfit.fit_refl_models(groups) == [fit_refl_model(g) for g in groups]
+    # every span is one b refinement stage's, [b - 0.05, b + 0.05] at most
+    assert calls and max(b2 - b1 for b1, b2, *_ in calls) <= 2 * reflfit.B_GRID_STEP + 1e-12
+
+
+def test_later_b_refinement_stages_bound_fewer_points_than_one_coarse_grid(monkeypatch):
+    # stage 1 bounds its window's whole grid over its span; stages 2-7 lie
+    # inside the span before them and bound only the points left by its terms
+    gen = TABLE_ROWS[("corridor", "306-321GHz")]
+    samples = generate_samples(gen, EIGHT_ANGLES, noise_sigma_db=0.5, rng=np.random.default_rng(5))
+    grid_size = reflfit._coarse_grid(*reflfit._window(samples)[2:]).size
+    calls = _bound_calls(monkeypatch)
+    assert fit_refl_model(samples) == reflfit_oracle.fit_refl_model(samples)
+    assert len(calls) == reflfit.REFINE_STAGES and calls[0][3] == grid_size
+    assert sum(size for *_, size in calls[1:]) < grid_size, calls
+
+
+def test_kept_bound_that_misses_the_next_span_is_recomputed(monkeypatch):
+    # kept terms one ulp short of each stage's span: every stage bounds its
+    # whole grid afresh, and the fits stay those of the scalar search
+    groups = _lockstep_groups()[:3]  # 4, 8 and 24 angles
+    grid_size = {len(g): reflfit._coarse_grid(*reflfit._window(g)[2:]).size for g in groups}
+    calls = _bound_calls(monkeypatch)
+    conditional = reflfit._phi_conditional
+    missed = []
+
+    def shrinking(tasks):
+        for *_, bound in tasks:
+            if bound is not None and bound[2].terms is not None:
+                bound[2].b2 = math.nextafter(bound[1], -math.inf)
+                missed.append(bound)
+        return conditional(tasks)
+
+    monkeypatch.setattr(reflfit, "_phi_conditional", shrinking)
+    assert reflfit.fit_refl_models(groups) == [reflfit_oracle.fit_refl_model(g) for g in groups]
+    assert len(missed) == len(groups) * (reflfit.REFINE_STAGES - 1)
+    assert len(calls) == len(groups) * reflfit.REFINE_STAGES
+    assert all(size == grid_size[n] for *_, n, size in calls)
+
+
+@pytest.mark.parametrize("design", [EIGHT_ANGLES, TWENTY_FOUR_ANGLES], ids=len)
+def test_shared_design_rows_equal_each_loss_sets_own_call(monkeypatch, design):
+    groups = [generate_samples(row, design, noise_sigma_db=2.0, rng=np.random.default_rng(k))
+              for k, row in enumerate(TABLE_ROWS.values())]
+    if design is EIGHT_ANGLES:  # clamped at a = 0 and at c = 0
+        groups += [ORACLE_SETS[name] for name in ("flat", "all-negative", "falling")]
+    angles, _, lo, hi = reflfit._window(groups[0])
+    losses = np.stack([reflfit._window(g)[1] for g in groups], axis=1)  # (n, sets)
+    b = reflfit.B_GRID_START + reflfit.B_GRID_STEP * np.arange(40)
+    grid = reflfit._coarse_grid(lo, hi)
+    for block in (1, reflfit._BLOCK_ELEMS, 1 << 62):  # one row per block; every row in one block
+        monkeypatch.setattr(reflfit, "_BLOCK_ELEMS", block)
+        shared = reflfit._best_over_phi(angles, losses, b, grid)
+        alone = np.stack([reflfit._best_over_phi(angles, y.copy(), b, grid) for y in losses.T])
+        assert shared.shape == (len(groups), 4, b.size)
+        assert shared.tobytes() == alone.tobytes(), block
+
+
+def test_groups_that_share_a_design_fit_as_alone(monkeypatch):
+    near, far = TABLE_ROWS[("corridor", "306-321GHz")], ReflLossModel(60.0, 2.0, 0.8, 5.0)
+    rng = np.random.default_rng(30)
+    same = [generate_samples(near, EIGHT_ANGLES, noise_sigma_db=0.5, rng=rng) for _ in range(3)]
+    other_window = generate_samples(far, EIGHT_ANGLES, noise_sigma_db=0.5, rng=rng)
+    lone = generate_samples(near, TWENTY_FOUR_ANGLES, noise_sigma_db=0.5, rng=rng)
+    groups = [same[0], other_window, same[0][:3], same[1], lone, same[2]]
+    windows = [reflfit._window(g)[2:] for g in (*same, other_window)]
+    assert windows[0] == windows[1] == windows[2] != windows[3]
+    loss_sets = []
+    kernel = reflfit._best_over_phi
+
+    def recording(angles, losses, b, grid):
+        if losses.ndim > angles.ndim:
+            loss_sets.append(losses.shape[1])
+        return kernel(angles, losses, b, grid)
+
+    monkeypatch.setattr(reflfit, "_best_over_phi", recording)
+    fits = reflfit.fit_refl_models(groups)
+    monkeypatch.undo()
+    assert sorted(loss_sets) == [1, 1, 3]  # the three same-window groups share one design
+    assert isinstance(fits[2], ValidationError)
+    valid = [g for k, g in enumerate(groups) if k != 2]
+    assert [f for k, f in enumerate(fits) if k != 2] == [fit_refl_model(g) for g in valid]
+    assert [fit_refl_model(g) for g in valid] == [reflfit_oracle.fit_refl_model(g) for g in valid]
 
 
 @pytest.mark.parametrize("scale", [1e149, 1e150])
