@@ -113,6 +113,17 @@ def eval_refl_model(model: ReflLossModel, phi_deg):
     return float(val) if np.isscalar(phi_deg) else val
 
 
+def _power(u: np.ndarray, b, out: np.ndarray) -> np.ndarray:
+    """u^b elementwise into out, which must not overlap u, always by numpy's
+    vector pow.  An exponent operand that gives the ufunc loop one value (a
+    float, or one broadcast row) takes numpy's scalar fast path instead: an
+    exact sqrt at b = 0.5 and a square at 2.0, whose last bits differ.  So b
+    is first copied out to the result's full shape, and each u^b is the same
+    whichever exponents share its call."""
+    np.copyto(out, b)
+    return np.power(u, out, out=out)
+
+
 def _pairwise_sum(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """x.sum(axis=0) into out, bit for bit as numpy sums a contiguous last axis.
 
@@ -172,7 +183,7 @@ def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: 
     come from the closed-form least squares at each grid point and are
     clamped non-negative with a re-solve.  Ties within 1e-12 RMSE pick the
     smallest phi_bar (the first grid point).  Each row's result depends on
-    that row's inputs alone.
+    that row's inputs alone, so x = u^b goes through _power.
 
     Shared angles may come with losses (n, L): L loss sets fitted on one
     design, each as if alone, and the result is (L, 4, m).  x = u^b and its
@@ -205,12 +216,11 @@ def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: np.ndarray, grid: 
         x, t = x_buf[:, :r], t_buf[:, :r]
         mx, mxx, mxy, var, cov, a, c, az, rmse = small[:, :r]
         mask, neg = mask_buf[:r], neg_buf[:r]
-        be = b[None, s:e, None]
         if grid.ndim == 1:
-            np.power(dist, be, out=x)
+            u = dist
         else:
-            np.subtract(angles[:, s:e, None], grid[s:e], out=x)
-            np.power(np.abs(x, out=x), be, out=x)
+            u = np.abs(np.subtract(angles[:, s:e, None], grid[s:e], out=t), out=t)
+        _power(u, b[None, s:e, None], out=x)
         _mean(x, mx, t)
         _mean(np.multiply(x, x, out=t), mxx, t)
         np.subtract(mxx, np.multiply(mx, mx, out=var), out=var)
@@ -273,7 +283,7 @@ def _bound_terms(angles: np.ndarray, losses: np.ndarray, b: np.ndarray,
         for s in range(0, k, cols):
             u = np.abs(angles[:, None] - grid[s:s + cols])  # (n, cols), as the kernel's dist
             log_u = np.log(u, out=np.zeros_like(u), where=u > 0.0)  # u = 0 has x = G = 0
-            x = u ** b1
+            x = _power(u, b1, np.empty_like(u))
             e = x * np.expm1((b2 - b1) * log_u)
             top = x + np.maximum(e, 0.0)  # max over [b1, b2] of u^b
             g = (b2 - b1) ** 2 / 8.0 * _norm(log_u * log_u * top)

@@ -24,7 +24,8 @@ from thznirs.reflfit import (
 
 
 def _best_over_phi(angles: np.ndarray, losses: np.ndarray, b: float, phi_grid: np.ndarray):
-    x = np.abs(angles[None, :] - phi_grid[:, None]) ** b  # (n_phi, n)
+    u = np.abs(angles[None, :] - phi_grid[:, None])  # (n_phi, n)
+    x = u ** np.full(u.shape, b)  # an array exponent: numpy's vector pow, as reflfit._power
     y = losses
     my = float(y.mean())
     mx = x.mean(axis=-1)

@@ -1,6 +1,6 @@
 """Package layout rules: no orphan module; JSON, the noise sentinel and the
-choice of the NIRS panel each handled in one module only; and no float64
-overflow caught after the fact."""
+choice of the NIRS panel each handled in one module only; no float64
+overflow caught after the fact; and one power path for the fit's u^b."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,28 @@ def test_no_module_catches_a_floating_point_error():
                 for n in ast.walk(node.type))
     }
     assert sorted(catches) == []
+
+
+def test_only_reflfit_power_raises_to_a_fitted_exponent():
+    """Each u^b of the fit goes through ``reflfit._power``, one path through
+    numpy's pow; ``eval_refl_model``, which generates the samples, keeps its
+    own ``**``.  A literal exponent such as ``(b2 - b1) ** 2`` is no u^b."""
+    homes = {"np.power": {"_power"}, "**": {"_power", "eval_refl_model"}}
+    tree = ast.parse((PACKAGE / "reflfit.py").read_text(encoding="utf-8"))
+    owner = {node: func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)}
+    uses = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "power"
+                and getattr(node.value, "id", None) == "np"):
+            kind = "np.power"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(exponent, ast.Constant):
+                continue
+            kind = "**"
+        else:
+            continue
+        if owner.get(node) not in homes[kind]:
+            uses.add(f"reflfit.py:{node.lineno}: {kind} in {owner.get(node)}")
+    assert sorted(uses) == []

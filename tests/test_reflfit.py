@@ -174,6 +174,17 @@ def _fixed_loss_samples(losses):
     return [ReflSample(k, a, l) for k, (a, l) in enumerate(zip(EIGHT_ANGLES, losses))]
 
 
+B_EDGE_SEEDS = (3, 5, 8, 32, 42, 44)
+
+
+def _b_edge_samples(seed):
+    """Seeded groups whose fit lands on b = 2.0, the b grid's clip edge, where
+    numpy's pow has a scalar fast path (a square) besides the vector one."""
+    design = np.arange(5.0, 75.01, 10.0) if seed % 2 else np.arange(3.0, 72.01, 3.0)
+    model = ReflLossModel(37.3, 0.02, 2.6 if seed % 3 == 0 else 2.0, 5.0)
+    return generate_samples(model, design, 0.3, np.random.default_rng(seed))
+
+
 def _oracle_sets():
     """Noiseless table rows, seeded noisy sets and clamp-hitting sets."""
     sets = {}
@@ -190,6 +201,8 @@ def _oracle_sets():
     sets["flat"] = _fixed_loss_samples([7.4] * 8)
     sets["all-negative"] = _fixed_loss_samples([-1.0 - k for k in range(8)])
     sets["falling"] = _fixed_loss_samples([20.0 - 2.0 * k for k in range(8)])
+    for seed in B_EDGE_SEEDS:
+        sets[f"noisy-b-edge-seed{seed}"] = _b_edge_samples(seed)
     return sets
 
 
@@ -204,6 +217,7 @@ def test_fit_equals_scalar_search_oracle(name):
 
 def test_fit_does_not_depend_on_block_size(monkeypatch):
     names = ["corridor-306-321GHz-8", "noisy-24-seed1", "noisy-dense-seed2", "falling"]
+    names += [f"noisy-b-edge-seed{seed}" for seed in B_EDGE_SEEDS]
     for name in names:
         samples = ORACLE_SETS[name]
         default = fit_refl_model(samples)
@@ -211,6 +225,21 @@ def test_fit_does_not_depend_on_block_size(monkeypatch):
             monkeypatch.setattr(reflfit, "_BLOCK_ELEMS", block)
             assert fit_refl_model(samples) == default, (name, block)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "per-row-grid"])
+def test_kernel_row_does_not_depend_on_the_rows_beside_it(shared_grid):
+    # b = 2.0 alone in its block, and beside another exponent: numpy's pow
+    # must not switch to its scalar fast path for the lone row
+    angles, losses, lo, hi = reflfit._window(_b_edge_samples(32))
+    grid = reflfit._coarse_grid(lo, hi)
+    if not shared_grid:
+        phi = fit_refl_model(_b_edge_samples(32)).model.phi_bar_deg
+        grid = np.linspace(phi - 0.01, phi + 0.01, 21)[None, :]
+    alone = reflfit._best_over_phi(angles, losses, np.array([2.0]), grid)
+    beside = reflfit._best_over_phi(angles, losses, np.array([1.95, 2.0]),
+                                    grid if shared_grid else np.repeat(grid, 2, axis=0))
+    assert beside[:, 1].tobytes() == alone[:, 0].tobytes()
 
 
 def _lockstep_groups():
