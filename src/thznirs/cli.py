@@ -96,7 +96,7 @@ def _cmd_pipeline(args) -> int:
     from .pathloss import CiModel, rx_path_loss, write_pathloss_csv
     from .pdap import DEFAULT_NOISE_THRESHOLD_DB
     from .scene import load_scene, nirs_panel
-    from .synthchan import bundle_dirs, read_bundle, read_sweep_csv
+    from .synthchan import RUN_KEYS, bundle_dirs, read_bundle, read_sweep_csv
 
     scene = load_scene(args.scene)
     try:
@@ -118,6 +118,7 @@ def _cmd_pipeline(args) -> int:
     bdirs = bundle_dirs(Path(args.bundle))
     # every bundle must match the scene's plan and grid, so the scene's serve them all
     divisor = None if sys_resp is None else sys_resp.divisor(scene.frequency_plan)
+    first = None  # the first bundle's manifest; the set must be one synth run
     for bdir in bdirs:
         bundle = read_bundle(bdir)
         m = bundle.manifest
@@ -131,6 +132,11 @@ def _cmd_pipeline(args) -> int:
                 f"bundles {seen[m.rx_index]} and {bdir} both hold rx {m.rx_index}"
             )
         seen[m.rx_index] = bdir
+        first = m if first is None else first
+        for key in RUN_KEYS:
+            if getattr(m, key) != getattr(first, key):
+                raise ValidationError(f"bundles {bdirs[0]} and {bdir} disagree on {key}: "
+                                      f"{getattr(first, key)!r} and {getattr(m, key)!r}")
         for name, ours, theirs in (("frequency_plan", m.plan, scene.frequency_plan),
                                    ("scan_grid", m.grid, scene.scan_grid)):
             if ours != theirs:

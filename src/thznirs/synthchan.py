@@ -82,10 +82,19 @@ class BundleManifest:
 
 @dataclass(frozen=True)
 class SweepBundle:
-    """Per-direction sweeps for one Rx position, indexed (elevation, azimuth)."""
+    """Per-direction sweeps for one Rx position, indexed (elevation, azimuth).
+
+    A synthesized bundle also keeps the two factors its sweeps are the
+    product of (``sweep_cube``): ``gains``, the Rx pattern amplitude per
+    (direction, path), and ``paths``, each path's sweep before the Rx
+    pattern.  They are what ``write_bundle`` stores.  A bundle read from the
+    sounder's layout has neither.
+    """
 
     manifest: BundleManifest
     sweeps: np.ndarray  # complex, (n_elevation, n_azimuth, n_freq)
+    gains: np.ndarray | None = None  # float64, (n_elevation * n_azimuth, P)
+    paths: np.ndarray | None = None  # complex128, (P, n_freq)
 
     def __post_init__(self):
         s = np.array(self.sweeps, dtype=complex)
@@ -98,6 +107,9 @@ class SweepBundle:
             raise ValidationError(f"bundle: sweep array must have shape {expect}")
         s.setflags(write=False)
         object.__setattr__(self, "sweeps", s)
+        for factor in (self.gains, self.paths):
+            if factor is not None:
+                factor.setflags(write=False)
 
     def sweep_at(self, el_index: int, az_index: int) -> FrequencySweep:
         return FrequencySweep(self.manifest.plan, self.sweeps[el_index, az_index])
@@ -239,6 +251,17 @@ def rx_gain_matrix(
     return gains
 
 
+def sweep_cube(gains: np.ndarray, paths: np.ndarray, grid: ScanGrid) -> np.ndarray:
+    """The (n_elevation, n_azimuth, n_freq) sweeps of Rx gains (D, P) and path sweeps (P, N).
+
+    Synthesis and ``read_bundle`` both form a bundle's sweeps here, so a
+    bundle read back holds the bytes it was synthesized with.  A product that
+    overflows float64 is left for the caller to find as a non-finite entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (gains @ paths).reshape(grid.n_elevation, grid.n_azimuth, -1)
+
+
 def synthesize_sweep(
     scene: Scene,
     rx_index: int,
@@ -271,7 +294,6 @@ def synthesize_sweep(
     delays = np.array([p.delay_s for p in paths])
     base = amps * np.exp(-2j * np.pi * freqs[None, :] * delays[:, None])  # (P, N)
     gains = rx_gain_matrix(paths, grid, scene.rx_pattern)  # (D, P); with no path, all +0
-    sweeps = (gains @ base).reshape(grid.n_elevation, grid.n_azimuth, -1)
 
     manifest = BundleManifest(
         scenario_id=scenario_id,
@@ -281,22 +303,25 @@ def synthesize_sweep(
         nirs=len(scene.nirs_panels) > 0,
         max_bounces=max_bounces,
     )
-    return SweepBundle(manifest=manifest, sweeps=sweeps)
+    return SweepBundle(manifest=manifest, sweeps=sweep_cube(gains, base, grid), gains=gains,
+                       paths=base)
 
 
 # ---------------------------------------------------------------------------
 # Bundle and sweep files
 # ---------------------------------------------------------------------------
 SWEEP_CSV_HEADER = "freq_hz,s21_re,s21_im"
-SWEEPS_FILE = "sweeps.npy"
+PATHS_FILE = "paths.npy"
 MANIFEST_FILE = "manifest.json"  # written last: its presence marks a complete bundle
-BUNDLE_FORMAT = "npy"
+BUNDLE_FORMAT = "paths"
 # The manifest's keys besides its plan and grid, each with its exact JSON type.
 # A key that is a BundleManifest property, not a field (band_label), must equal it.
 MANIFEST_KEYS = {"scenario_id": str, "band_label": str, "rx_index": int, "nirs": bool,
                  "max_bounces": int}
 MANIFEST_JSON = {**MANIFEST_KEYS, "frequency_plan": PLAN_JSON, "scan_grid": GRID_JSON,
                  "format?": str}
+# The manifest keys every bundle of one set shares: a set is one synth run.
+RUN_KEYS = ("scenario_id", "nirs", "max_bounces")
 
 
 def write_sweep_csv(sweep: FrequencySweep, path) -> None:
@@ -341,13 +366,20 @@ def direction_filename(el_index: int, az_index: int) -> str:
 
 
 def write_bundle(bundle: SweepBundle, dirpath) -> None:
-    """Bundle directory: ``sweeps.npy`` plus ``manifest.json``, written last.
+    """Bundle directory: ``paths.npy`` plus ``manifest.json``, written last.
+
+    ``paths.npy`` holds the bundle's two factors back to back, each as one
+    ``np.save`` array: the Rx gains, then the path sweeps.  A bundle without
+    them (one read from the sounder's layout) is refused.
 
     The manifest is what marks a directory as a bundle, so an old one is
-    removed first and the new one is committed only once the sweeps are in
+    removed first and the new one is committed only once the factors are in
     place: an interrupted write never leaves a directory that reads as a
     complete bundle.
     """
+    if bundle.gains is None or bundle.paths is None:
+        raise ValidationError("write_bundle: the bundle has no path factors to store "
+                              "(a bundle read from the sounder's layout has none)")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     manifest_path = d / MANIFEST_FILE
@@ -356,26 +388,46 @@ def write_bundle(bundle: SweepBundle, dirpath) -> None:
     manifest = {key: getattr(m, key) for key in MANIFEST_KEYS}
     manifest.update(format=BUNDLE_FORMAT, frequency_plan=plan_to_json(m.plan),
                     scan_grid=grid_to_json(m.grid))
-    atomic_write(d / SWEEPS_FILE, lambda fh: np.save(fh, bundle.sweeps, allow_pickle=False))
+
+    def save_factors(fh):
+        np.save(fh, bundle.gains, allow_pickle=False)
+        np.save(fh, bundle.paths, allow_pickle=False)
+
+    atomic_write(d / PATHS_FILE, save_factors)
     write_json(manifest_path, manifest)
 
 
-def _read_sweeps_npy(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
+def _read_paths_npy(path: Path, manifest: BundleManifest) -> SweepBundle:
+    """The bundle whose factors ``path`` holds; any fault names ``path``."""
+    grid, n_freq = manifest.grid, manifest.plan.point_count
     try:
         with open(path, "rb") as fh:
-            sweeps = np.lib.format.read_array(fh, allow_pickle=False)
+            gains = np.lib.format.read_array(fh, allow_pickle=False)
+            paths = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
     except FileNotFoundError:
         raise ValidationError(f"missing sweep file: {path}") from None
     except (OSError, ValueError, EOFError) as exc:
         reason = " ".join(str(exc).split())
-        raise ValidationError(f"{path}: not a readable .npy array ({reason})") from exc
-    if sweeps.dtype != np.complex128:
-        raise ValidationError(f"{path}: dtype must be complex128, got {sweeps.dtype}")
-    if sweeps.shape != shape:
-        raise ValidationError(f"{path}: shape must be {shape}, got {sweeps.shape}")
-    if not np.isfinite(sweeps).all():
+        raise ValidationError(f"{path}: not two readable .npy arrays ({reason})") from exc
+    if trailing:
+        raise ValidationError(f"{path}: holds more than the gains and the path sweeps")
+    for name, array, dtype in (("gains", gains, "float64"), ("path sweeps", paths, "complex128")):
+        if array.dtype != dtype:
+            raise ValidationError(f"{path}: {name} dtype must be {dtype}, got {array.dtype}")
+    n_dir = grid.n_elevation * grid.n_azimuth
+    if gains.ndim != 2 or gains.shape[0] != n_dir:
+        raise ValidationError(f"{path}: gains shape must be ({n_dir}, P), got {gains.shape}")
+    if paths.shape != (gains.shape[1], n_freq):
+        raise ValidationError(f"{path}: path sweeps shape must be ({gains.shape[1]}, {n_freq}) "
+                              f"for {gains.shape[1]} gain columns, got {paths.shape}")
+    if not (np.isfinite(gains).all() and np.isfinite(paths).all()):
         raise ValidationError(f"{path}: every value must be finite")
-    return sweeps
+    sweeps = sweep_cube(gains, paths, grid)
+    if not np.isfinite(sweeps).all():
+        raise ValidationError(f"{path}: the product of the gains and the path sweeps "
+                              "overflows float64")
+    return SweepBundle(manifest=manifest, sweeps=sweeps, gains=gains, paths=paths)
 
 
 def bundle_dirs(root: Path) -> list[Path]:
@@ -391,9 +443,9 @@ def bundle_dirs(root: Path) -> list[Path]:
 def read_bundle(dirpath) -> SweepBundle:
     """Read a bundle directory; the manifest's ``format`` key picks the layout.
 
-    ``"npy"`` is the single ``sweeps.npy`` array ``write_bundle`` writes.  A
-    manifest without the key is the sounder's layout of one CSV per scan
-    direction (``el<i>_az<j>.csv``).
+    ``"paths"`` is the ``paths.npy`` that ``write_bundle`` writes; its sweeps
+    are formed by ``sweep_cube``.  A manifest without the key is the
+    sounder's layout of one CSV per scan direction (``el<i>_az<j>.csv``).
     """
     d = Path(dirpath)
     manifest_path = d / MANIFEST_FILE
@@ -408,15 +460,13 @@ def read_bundle(dirpath) -> SweepBundle:
         for key in MANIFEST_KEYS:  # band_label is derived from the plan, not stored
             if raw[key] != getattr(manifest, key):
                 raise ValidationError(f"{key} {raw[key]!r} is not the plan's {getattr(manifest, key)!r}")
-    shape = (grid.n_elevation, grid.n_azimuth, plan.point_count)
     if "format" not in raw:
-        sweeps = np.empty(shape, dtype=complex)
+        sweeps = np.empty((grid.n_elevation, grid.n_azimuth, plan.point_count), dtype=complex)
         for i in range(grid.n_elevation):
             for j in range(grid.n_azimuth):
                 sweep = read_sweep_csv(d / direction_filename(i, j), plan=plan)
                 sweeps[i, j] = sweep.samples
-    elif raw["format"] == BUNDLE_FORMAT:
-        sweeps = _read_sweeps_npy(d / SWEEPS_FILE, shape)
-    else:
-        raise ValidationError(f"{manifest_path}: unknown bundle format {raw['format']!r}")
-    return SweepBundle(manifest=manifest, sweeps=sweeps)
+        return SweepBundle(manifest=manifest, sweeps=sweeps)
+    if raw["format"] == BUNDLE_FORMAT:
+        return _read_paths_npy(d / PATHS_FILE, manifest)
+    raise ValidationError(f"{manifest_path}: unknown bundle format {raw['format']!r}")

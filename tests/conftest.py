@@ -103,29 +103,52 @@ def write_csv_bundle(src: Path, dst: Path) -> None:
     (dst / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _rewrite_sweeps(d: Path, change) -> Path:
-    path = d / "sweeps.npy"
-    np.save(path, change(np.load(path)), allow_pickle=True)
+def load_paths_npy(path: Path) -> list[np.ndarray]:
+    """Every array ``path`` holds, in order: a bundle's gains, then its path sweeps."""
+    arrays = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            arrays.append(np.load(fh, allow_pickle=True))
+    return arrays
+
+
+def rewrite_paths_npy(d: Path, change) -> Path:
+    """Store the arrays ``change(gains, paths)`` returns back to back as ``d/paths.npy``."""
+    path = d / "paths.npy"
+    arrays = change(*load_paths_npy(path))
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=True)
     return path
 
 
-def _truncate_sweeps(d: Path) -> Path:
-    path = d / "sweeps.npy"
+def _truncate_paths(d: Path) -> Path:
+    path = d / "paths.npy"
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     return path
 
 
-def _unknown_format(d: Path) -> Path:
-    path = d / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["format"] = "hdf5"
-    path.write_text(json.dumps(manifest))
+def _append_to_paths(d: Path) -> Path:
+    path = d / "paths.npy"
+    path.write_bytes(path.read_bytes() + b"\0")
     return path
 
 
-def _remove_sweeps(d: Path) -> Path:
-    path = d / "sweeps.npy"
+def _set_format(name: str):
+    """A spoiler that sets the manifest's ``format`` to ``name``."""
+    def spoil(d: Path) -> Path:
+        path = d / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["format"] = name
+        path.write_text(json.dumps(manifest))
+        return path
+
+    return spoil
+
+
+def _remove_paths(d: Path) -> Path:
+    path = d / "paths.npy"
     path.unlink()
     return path
 
@@ -180,12 +203,18 @@ SPOILED_MANIFEST_KEYS = {
 # Ways to spoil a written bundle directory; each returns the file the
 # resulting error must name, or that file's name and the text after it.
 SPOILED_BUNDLES = {
-    "missing": _remove_sweeps,
-    "truncated": _truncate_sweeps,
-    "pickled": lambda d: _rewrite_sweeps(d, lambda a: a.astype(object)),
-    "wrong_dtype": lambda d: _rewrite_sweeps(d, lambda a: a.astype(np.complex64)),
-    "wrong_shape": lambda d: _rewrite_sweeps(d, lambda a: a[:, :1]),
-    "unknown_format": _unknown_format,
+    "missing": _remove_paths,
+    "truncated": _truncate_paths,
+    "pickled": lambda d: rewrite_paths_npy(d, lambda g, p: (g, p.astype(object))),
+    "wrong_dtype": lambda d: rewrite_paths_npy(d, lambda g, p: (g, p.astype(np.complex64))),
+    "wrong_shape": lambda d: rewrite_paths_npy(d, lambda g, p: (g[:1], p)),
+    "gains_not_float64": lambda d: rewrite_paths_npy(d, lambda g, p: (g.astype(np.float32), p)),
+    "gain_columns_not_path_rows": lambda d: rewrite_paths_npy(d, lambda g, p: (g, p[:-1])),
+    "third_array": lambda d: rewrite_paths_npy(d, lambda g, p: (g, p, p)),
+    "trailing_bytes": _append_to_paths,
+    "product_overflow": lambda d: rewrite_paths_npy(d, lambda g, p: (g * 1e200, p * 1e200)),
+    "unknown_format": _set_format("hdf5"),
+    "retired_npy_format": _set_format("npy"),
     "manifest_not_json": _truncate_manifest,
     "manifest_integer_past_int_digit_limit": _long_manifest_integer,
     "manifest_no_scan_grid": _edit_manifest(lambda m: m.pop("scan_grid")),

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SCENES, SMALL_PLAN, SPOILED_BUNDLES, shipped_scene, write_csv_bundle
+from conftest import (SCENES, SMALL_PLAN, SPOILED_BUNDLES, load_paths_npy, rewrite_paths_npy,
+                      shipped_scene, write_csv_bundle)
 
 from thznirs import cli, reflfit
 from thznirs.cli import main
@@ -53,11 +54,13 @@ def test_synth_writes_bundles_per_rx(tmp_path, mini_scene_file, small_plan):
     rx_dirs = sorted(p for p in out.iterdir())
     assert [p.name for p in rx_dirs] == ["rx000", "rx001", "rx002"]
     for d in rx_dirs:
-        assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
-        sweeps = np.load(d / "sweeps.npy", allow_pickle=False)
-        assert sweeps.shape == (2, 2, small_plan.point_count)  # 2x2 grid
+        assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "paths.npy"]
+        gains, paths = load_paths_npy(d / "paths.npy")
+        assert gains.dtype == np.float64 and gains.shape[0] == 4  # 2x2 grid
+        assert paths.dtype == np.complex128
+        assert paths.shape == (gains.shape[1], small_plan.point_count)
     manifest = json.loads((rx_dirs[0] / "manifest.json").read_text())
-    assert manifest["format"] == "npy"
+    assert manifest["format"] == "paths"
     assert manifest["nirs"] is True
     assert manifest["scenario_id"] == "mini"
 
@@ -80,8 +83,9 @@ def test_synth_full_corridor_has_180_directions(tmp_path):
     out = tmp_path / "bundles"
     rc = main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out)])
     assert rc == 0
-    sweeps = np.load(out / "rx000" / "sweeps.npy", allow_pickle=False)
-    assert sweeps.shape == (5, 36, 101)
+    gains, paths = load_paths_npy(out / "rx000" / "paths.npy")
+    assert gains.shape[0] == 5 * 36
+    assert paths.shape == (gains.shape[1], 101)
 
 
 def test_synth_three_bounces_leaks_no_numpy_warning(tmp_path):
@@ -668,6 +672,37 @@ def test_pipeline_rejects_duplicate_rx_ids(tmp_path, mini_scene_file, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+# A second synth over corridor_mini's set: a 5-receiver copy of the scene
+# file, saved under the file stem (the scenario) and run at the bounces given.
+SECOND_RUNS = {
+    "scenario_id": ("corridor_mini_no_nirs.json", "five_no_nirs", "2",
+                    "'five_no_nirs' and 'corridor_mini'"),
+    "nirs": ("corridor_mini_no_nirs.json", "corridor_mini", "2", "False and True"),
+    "max_bounces": ("corridor_mini.json", "corridor_mini", "1", "1 and 2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SECOND_RUNS))
+def test_pipeline_rejects_a_bundle_set_of_two_synth_runs(tmp_path, capsys, key):
+    """rx 0-4 from the second run and rx 5-8 from the first match the scene's
+    plan and grid, so only the set rule tells them apart."""
+    source, stem, bounces, values = SECOND_RUNS[key]
+    out = tmp_path / "b"
+    assert main(["synth", "--scene", f"{SCENES}/corridor_mini.json", "--out", str(out)]) == 0
+    scene = shipped_scene(source)
+    copy = tmp_path / "second" / f"{stem}.json"
+    copy.parent.mkdir()
+    save_scene(dataclasses.replace(scene, rx_positions=scene.rx_positions[:5]), copy)
+    assert main(["synth", "--scene", str(copy), "--max-bounces", bounces, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["pipeline", "--scene", f"{SCENES}/corridor_mini.json", "--bundle", str(out),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: bundles {out / 'rx000'} and {out / 'rx005'} disagree on {key}: {values}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_pipeline_names_bundle_whose_rx_the_scene_lacks(tmp_path, capsys):
     out = tmp_path / "bundles"
     assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
@@ -732,8 +767,7 @@ def test_pipeline_power_sum_overflow_exits_2(tmp_path, capsys):
     out = tmp_path / "bundles"
     assert main(["synth", "--scene", f"{SCENES}/hallway_mini.json", "--out", str(out),
                  "--max-bounces", "1"]) == 0
-    sweeps = out / "rx000" / "sweeps.npy"
-    np.save(sweeps, np.load(sweeps) * 1e200)
+    rewrite_paths_npy(out / "rx000", lambda gains, paths: (gains, paths * 1e200))
     capsys.readouterr()
     rc = main(["pipeline", "--scene", f"{SCENES}/hallway_mini.json", "--bundle", str(out),
                "--out", str(tmp_path / "r.csv")])
@@ -834,20 +868,23 @@ def _spoil_sweep_csv(tmp_path, name, column, value):
     return path, "data row 6: frequency and sample must be finite"
 
 
-def _spoil_sweeps_npy(tmp_path, bundles, value):
-    path = bundles / "rx000" / "sweeps.npy"
-    sweeps = np.load(path)
-    sweeps[0, 1, 5] = complex(value)
-    np.save(path, sweeps)
-    return path, "every value must be finite"
+def _spoil_paths_npy(bundles, factor, value):
+    """rx000's ``paths.npy`` replaced by one unit path whose gains (``factor`` 0)
+    or path sweep (1) end in ``value``."""
+    def change(gains, paths):
+        factors = [np.ones((gains.shape[0], 1)), np.ones((1, paths.shape[1]), dtype=complex)]
+        factors[factor][0, -1] = float(value)
+        return factors
+
+    return rewrite_paths_npy(bundles / "rx000", change), "every value must be finite"
 
 
 NON_FINITE_SWEEPS = {
     "connect_sample_nan": lambda t, b: _spoil_sweep_csv(t, "connect", 1, "nan"),
     "connect_frequency_inf": lambda t, b: _spoil_sweep_csv(t, "connect", 0, "inf"),
     "extra_sample_inf": lambda t, b: _spoil_sweep_csv(t, "extra", 2, "-inf"),
-    "sweeps_npy_nan": lambda t, b: _spoil_sweeps_npy(t, b, "nan"),
-    "sweeps_npy_inf": lambda t, b: _spoil_sweeps_npy(t, b, "inf"),
+    "sweeps_npy_nan": lambda t, b: _spoil_paths_npy(b, 1, "nan"),
+    "sweeps_npy_inf": lambda t, b: _spoil_paths_npy(b, 0, "inf"),
 }
 
 

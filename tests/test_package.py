@@ -1,4 +1,4 @@
-"""Package layout rules: no orphan module; JSON, the noise sentinel and the
+"""Package layout rules: no orphan module; JSON, .npy files, the noise sentinel and the
 choice of the NIRS panel each handled in one module only; no float64
 overflow caught after the fact; and one power path for the fit's u^b."""
 
@@ -42,6 +42,18 @@ def test_only_fileio_parses_or_writes_json():
         and node.func.attr in ("dumps", "loads", "dump", "load")
     }
     assert sorted(c for c in calls if not c.startswith("fileio.py:")) == []
+
+
+def test_only_synthchan_saves_or_loads_npy():
+    """The bundle layout lives in ``synthchan``: no other module reads or writes an array file."""
+    names = {"np.save", "np.load", "np.lib.format.read_array"}
+    uses = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in names
+    }
+    assert sorted(u for u in uses if not u.startswith("synthchan.py:")) == []
 
 
 def test_only_pdap_names_the_noise_sentinel():

@@ -2,10 +2,10 @@
 a way whose effect on the output is known in closed form, so no second
 implementation is needed as the oracle.
 
-The relations run on the shipped mini with-panel scenes (reciprocity and
-rotation at 3 bounces, the gain shift at 1 and 3) and on a line-of-sight
-link (the beam-grid bias of one path). Their bounds come from float64
-rounding alone.
+The relations run on the shipped mini with-panel scenes (reciprocity,
+rotation and the system-response invariance at 3 bounces, the gain shift at
+1 and 3) and on a line-of-sight link (the beam-grid bias of one path). Their
+bounds come from float64 rounding alone.
 """
 
 import dataclasses
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from conftest import SMALL_PLAN, los_scene, shipped_scene
 
-from thznirs.pathloss import CiModel, omni_path_loss, rx_path_loss
+from thznirs.calibrate import SystemResponse
+from thznirs.pathloss import CiModel, omni_path_loss, rx_path_loss, write_pathloss_csv
 from thznirs.pdap import pdap_from_sweeps
-from thznirs.scene import (SPEED_OF_LIGHT, AntennaPattern, frequency_grid, scene_from_dict,
-                           scene_to_dict)
+from thznirs.scene import (SPEED_OF_LIGHT, AntennaPattern, FrequencySweep, frequency_grid,
+                           scene_from_dict, scene_to_dict)
 from thznirs.synthchan import enumerate_paths, synthesize_sweep
 
 MINI_WITH_PANEL = ("corridor_mini.json", "hallway_mini.json")
@@ -27,6 +28,12 @@ ULPS_PER_SEGMENT = 4  # a segment's norm, its share of the sum, and its end poin
 U = np.finfo(float).eps / 2  # float64's unit roundoff
 NEAR_SENTINEL_DB = -299.0  # the lowest whole-dB threshold above the sentinel: drops next to nothing
 DB = 10 * math.log10(math.e)  # dB per unit of relative error in a power
+COMPLEX_MUL_ULPS = math.sqrt(5)  # Brent, Percival & Zimmermann, Math. Comp. 76 (2007)
+# numpy's complex divide is Smith's: r = d/c, s = 1/(c + d r), ((a + b r) s, (b - a r) s)
+# for |c| >= |d|. r costs u, c + d r (two terms of one sign) 2u more, s 1u more;
+# the numerator's error is under 3u of its norm sqrt(1 + r^2)|a + ib|, and the
+# products with s u more: 8u of the quotient in all.
+COMPLEX_DIV_ULPS = 8
 
 
 def _power_sum_rounding(n_summed: int, n_freq: int) -> float:
@@ -214,3 +221,61 @@ def test_one_path_omni_loss_is_the_beam_summed_over_the_scan_grid(az_deg, el_deg
     bias = {(0.0, 0.0): -0.229, (2.5, 0.0): 0.576, (5.0, 0.0): 1.561, (5.0, 5.0): 3.305}
     if (az_deg, el_deg) in bias:
         assert round(pl_omni + 10 * math.log10(friis), 3) == bias[az_deg, el_deg]
+
+
+def _cable(plan):
+    """A cable-like system response: -20 dB at the band's start, 3 dB lower at its
+    stop, a 0.5 dB (peak to peak) ripple of 7 periods, and a 2 ns delay."""
+    f = frequency_grid(plan)
+    x = (f - f[0]) / (f[-1] - f[0])
+    level_db = -20.0 - 3.0 * x + 0.25 * np.sin(2 * np.pi * 7 * x)
+    return 10 ** (level_db / 20) * np.exp(-2j * np.pi * f * 2e-9)
+
+
+@pytest.mark.parametrize("name", MINI_WITH_PANEL)
+def test_a_system_response_divided_out_changes_no_result(name, tmp_path):
+    """Relation 5: a sounder's sweeps carry its system response S(f), and the
+    calibration divides it out. Planting S in both the sweeps and the divisor
+    (criterion 10's through and 32 dB setup factor) changes no row.
+
+    Bound: the planted run's samples are (H S)(1 + e1) / ((D S)(1 + e2)) (1 + e3),
+    the plain run's H / D (1 + e4): one complex multiply each for H S and D S,
+    one divide each. So each sample moves by at most
+    delta = (2 COMPLEX_MUL_ULPS + 2 COMPLEX_DIV_ULPS + 1) u of itself. By
+    Parseval the inverse DFT of the change has at most delta of the norm of
+    the direction's profile, so the direction's power moves by at most
+    2 delta + delta^2 of it. On top come each run's own rounding
+    (``_power_sum_rounding``, as for the gain relation), entries that cross
+    the -299 dB threshold (within rounding of it, so under twice its power
+    each), and the final -10 log10's ulps. At the pipeline's own threshold the
+    rows must also be equal as the results file writes them.
+    """
+    scene = shipped_scene(name)
+    plan = scene.frequency_plan
+    ones = np.ones(plan.point_count, dtype=complex)
+    extra = FrequencySweep(plan, np.full(plan.point_count, 10 ** (32 / 20), dtype=complex))
+    cable = _cable(plan)
+    plain = SystemResponse(FrequencySweep(plan, ones), extra).divisor(plan)
+    planted = SystemResponse(FrequencySweep(plan, cable), extra).divisor(plan)
+    ci = CiModel(ple=1.35)
+    delta = (2 * COMPLEX_MUL_ULPS + 2 * COMPLEX_DIV_ULPS + 1) * U
+    n_entries = scene.scan_grid.n_elevation * scene.scan_grid.n_azimuth * plan.point_count
+    rows = {"plain": [], "planted": []}
+    for k in range(scene.n_rx):
+        sweeps = synthesize_sweep(scene, k, BOUNCES).sweeps
+        runs = {"plain": (sweeps, plain), "planted": (sweeps * cable, planted)}
+        for label, (measured, divisor) in runs.items():
+            rows[label].append(rx_path_loss(scene, k, measured, divisor, ci))
+        before, after = (rx_path_loss(scene, k, measured, divisor, ci,
+                                      threshold_db=NEAR_SENTINEL_DB)
+                         for measured, divisor in runs.values())
+        for field in ("pl_dir_db", "pl_omni_db", "l_ref_db"):
+            b, a = getattr(before, field), getattr(after, field)
+            crossed = 2 * n_entries * 10 ** (NEAR_SENTINEL_DB / 10 + before.pl_dir_db / 10)
+            bound = (2 * DB * _power_sum_rounding(n_entries, plan.point_count)
+                     + DB * (2 * delta + delta ** 2 + crossed)
+                     + 4 * float(np.spacing(max(abs(a), abs(b)))))
+            assert abs(a - b) <= bound, (field, k, a - b, bound)
+    for label, results in rows.items():
+        write_pathloss_csv(results, tmp_path / f"{label}.csv")
+    assert (tmp_path / "planted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

@@ -10,6 +10,7 @@ from conftest import (
     SMALL_PLAN,
     SPOILED_BUNDLES,
     SPOILED_MANIFEST_KEYS,
+    load_paths_npy,
     random_box_scenes,
     replace_panel,
     shipped_scene,
@@ -249,16 +250,34 @@ def _two_direction_bundle(scenario_id="synthetic"):
 
 
 def test_bundle_roundtrip_exact(tmp_path, small_plan):
+    """A bundle reads back with the bytes it was synthesized with: the two-direction
+    bundle, and every receiver of each shipped mini scene at 3 bounces."""
     bundle = _two_direction_bundle("roundtrip")
     d = tmp_path / "bundle"
     write_bundle(bundle, d)
-    assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "sweeps.npy"]
-    stored = np.load(d / "sweeps.npy", allow_pickle=False)
-    assert stored.dtype == np.complex128 and stored.flags.c_contiguous
-    assert stored.shape == (1, 2, small_plan.point_count)
-    back = read_bundle(d)
-    assert back.manifest == bundle.manifest
-    assert np.array_equal(back.sweeps, bundle.sweeps)  # exact float round-trip
+    assert sorted(p.name for p in d.iterdir()) == ["manifest.json", "paths.npy"]
+    gains, paths = load_paths_npy(d / "paths.npy")
+    assert gains.dtype == np.float64 and gains.flags.c_contiguous and gains.shape[0] == 2
+    assert paths.dtype == np.complex128 and paths.flags.c_contiguous
+    assert paths.shape == (gains.shape[1], small_plan.point_count)
+    minis = [shipped_scene(p.name) for p in sorted(SCENES.glob("*_mini*.json"))]
+    assert len(minis) == 4
+    for bundle in [bundle] + [synthesize_sweep(s, k, 3) for s in minis for k in range(s.n_rx)]:
+        write_bundle(bundle, d)
+        back = read_bundle(d)
+        assert back.manifest == bundle.manifest
+        for name in ("sweeps", "gains", "paths"):
+            assert getattr(back, name).tobytes() == getattr(bundle, name).tobytes(), name
+
+
+def test_write_bundle_refuses_a_sounder_bundle(tmp_path):
+    write_bundle(_two_direction_bundle(), tmp_path / "npy")
+    write_csv_bundle(tmp_path / "npy", tmp_path / "csv")
+    sounder = read_bundle(tmp_path / "csv")
+    assert sounder.gains is None and sounder.paths is None
+    with pytest.raises(ValidationError, match="no path factors"):
+        write_bundle(sounder, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_bundle_reads_like_npy_bundle(tmp_path):
@@ -335,7 +354,7 @@ def test_interrupted_bundle_write_leaves_no_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "atomic_write", fail_on_manifest)  # write_json's, not the npy's
     with pytest.raises(OSError, match="disk full"):
         write_bundle(_two_direction_bundle(), d)
-    assert sorted(p.name for p in d.iterdir()) == ["sweeps.npy"]
+    assert sorted(p.name for p in d.iterdir()) == ["paths.npy"]
 
 
 def test_sweep_csv_rejects_wrong_header(tmp_path):

@@ -14,6 +14,11 @@ yet).  For ``corridor_mini`` and ``hallway_mini`` the chain is:
 
 then, in this process, the profile export (CSV plus JSON sidecar) of the
 default-threshold PDAP of corridor_mini's with-panel rx 0 bundle;
+then corridor_mini's with-panel set rewritten in the sounder's layout (one
+CSV per scan direction and a manifest without ``format``) in a temporary
+directory outside OUT, and the calibrated pipeline run on it, whose results
+must be byte-identical to the synthesized set's (the script exits non-zero
+otherwise);
 then, on a hallway_mini copy whose panel keeps only the cells (2, 1) and
 (0, 0) (listed out of that order; (2, 1) reflects toward rx 0, 4, 7 and 10
 and shadows the chamfer's one-bounce path to rx 11, while no cell of rows 0
@@ -37,6 +42,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +54,8 @@ import numpy as np  # noqa: E402
 from thznirs.pdap import export_pdap_csv, pdap_from_sweeps  # noqa: E402
 from thznirs.reflfit import ReflLossModel, generate_samples  # noqa: E402
 from thznirs.scene import FrequencySweep, load_scene  # noqa: E402
-from thznirs.synthchan import read_bundle, write_sweep_csv  # noqa: E402
+from thznirs.synthchan import (MANIFEST_FILE, bundle_dirs, direction_filename,  # noqa: E402
+                                read_bundle, write_sweep_csv)
 
 PAIRS = ("corridor_mini", "hallway_mini")
 FIT_TABLE = (
@@ -99,6 +106,21 @@ def _fit_groups(path: Path) -> Path:
     return path
 
 
+def _write_sounder_set(src: Path, dst: Path) -> None:
+    """The bundle set at ``src`` in the sounder's layout at ``dst``."""
+    for bdir in bundle_dirs(src):
+        bundle = read_bundle(bdir)
+        sounder = dst / bdir.name
+        sounder.mkdir()
+        grid = bundle.manifest.grid
+        for i in range(grid.n_elevation):
+            for j in range(grid.n_azimuth):
+                write_sweep_csv(bundle.sweep_at(i, j), sounder / direction_filename(i, j))
+        manifest = json.loads((bdir / MANIFEST_FILE).read_text(encoding="utf-8"))
+        del manifest["format"]
+        (sounder / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def run_chain(out: Path) -> None:
     out.mkdir(parents=True)
     connect, extra = _fixtures(out)
@@ -122,6 +144,15 @@ def run_chain(out: Path) -> None:
     sweeps = read_bundle(out / PAIRS[0] / "bundles_with" / "rx000").sweeps
     pdap = pdap_from_sweeps(sweeps, scene.scan_grid, scene.frequency_plan.span_hz)
     export_pdap_csv(pdap, out / PAIRS[0] / "pdap_rx000.csv")
+    d = out / PAIRS[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_sounder_set(d / "bundles_with", Path(tmp))
+        _thznirs("pipeline", "--scene", str(SCENES / f"{PAIRS[0]}.json"), "--bundle", tmp,
+                 "--connect", str(connect), "--extra", str(extra), "--ple", "1.35",
+                 "--out", str(d / "with_sounder.csv"))
+    if (d / "with_sounder.csv").read_bytes() != (d / "with.csv").read_bytes():
+        sys.exit(f"chain_digest: the sounder-layout results {d / 'with_sounder.csv'} differ "
+                 f"from {d / 'with.csv'}")
     d = out / "hallway_mini_partial"
     d.mkdir()
     data = json.loads((SCENES / "hallway_mini.json").read_text())
